@@ -90,12 +90,12 @@ func (l *outLink) usableAt(now uint64) bool {
 	return l.period > 0 && now%l.period == 0
 }
 
-// fwdOp is one switch grant decided in phase A of the two-phase tick. All of
-// its effects land outside the granting router — a credit returned upstream,
-// a flit buffered downstream (or ejected into the local NIC), the
-// prioritizer's busy-table charge — so they are deferred here and applied by
-// commitOps in ascending router order, keeping phase A free of cross-router
-// writes (DESIGN.md §18).
+// fwdOp is one switch grant decided in the router-decide phase of the
+// two-phase tick. All of its effects land outside the granting router — a
+// credit returned upstream, a flit buffered downstream (or ejected into the
+// local NIC), the prioritizer's busy-table charge — so they are deferred here
+// and applied by commitOps in ascending router order, which makes them
+// visible only at the end of the phase (DESIGN.md §18).
 type fwdOp struct {
 	f      Flit     // the granted flit, readyAt already stamped
 	feeder *outLink // upstream link owed a credit (nil for NIC-fed ports)
@@ -117,12 +117,9 @@ type Router struct {
 	needVC        int // input VCs holding a header awaiting VC allocation
 	bufCap        int // total flit-buffer capacity (fixed at construction)
 
-	// ops is the phase-A grant log, drained by commitOps each cycle; the
-	// backing array reaches steady-state capacity during warmup. bufWrites
-	// is this router's share of NetStats.BufferWrites, kept per router so
-	// phase-A flit acceptance (NIC injection) never touches shared counters.
-	ops       []fwdOp
-	bufWrites uint64
+	// ops is the grant log, drained by commitOps each cycle; the backing
+	// array reaches steady-state capacity during warmup.
+	ops []fwdOp
 
 	// saCands is switchAlloc's per-output-port candidate scratch, reused
 	// across cycles so the SA stage allocates nothing in steady state.
@@ -136,11 +133,8 @@ func (r *Router) ID() NodeID { return r.id }
 func (r *Router) numVCs() int { return r.net.numVCs }
 
 // acceptFlit buffers a flit arriving on (port, vc). The header flit claims
-// the VC and has its route computed (the RC stage). It touches only the
-// receiving router's own state — activation marking is the caller's job
-// (commit sweeps mark in the shared bitset; a NIC injecting during phase A
-// records an own-node flag instead), so acceptFlit is safe both from the
-// sequential commit and from the owning node's parallel injection phase.
+// the VC and has its route computed (the RC stage). Marking the router
+// active is the caller's job.
 func (r *Router) acceptFlit(port Port, vc int, f Flit, now uint64) {
 	ip := r.in[port]
 	st := &ip.vcs[vc]
@@ -163,7 +157,7 @@ func (r *Router) acceptFlit(port Port, vc int, f Flit, now uint64) {
 	st.buf = append(st.buf, f)
 	ip.buffered++
 	r.bufferedFlits++
-	r.bufWrites++
+	r.net.stats.BufferWrites++
 }
 
 // vcAlloc runs the VA stage: headers whose packets do not yet own a
@@ -358,18 +352,17 @@ func pickWinner(list []saCandidate, rr, numVCs int) int {
 	return best
 }
 
-// forward is the phase-A half of a switch grant: it moves the head flit of
-// (port, vc) out of this router's input buffer, charges this router's own
+// forward is the decide-phase half of a switch grant: it moves the head flit
+// of (port, vc) out of this router's input buffer, charges this router's own
 // output-link credit, and logs the grant for commitOps. Switch traversal is
 // this cycle, link traversal next, arrival the cycle after (HopLatency total
 // per hop including the stage-1 cycle).
 //
 // Everything mutated here belongs to the granting router — its input VC
-// state and its own outLink — so concurrent phase-A ticks of different
-// routers never touch the same memory. The cross-router effects (upstream
-// credit return, downstream buffering, prioritizer charge, traversal stats)
-// are deferred into r.ops and applied by commitOps after every router's
-// phase A has finished, all of them reading the frozen cycle-N state.
+// state and its own outLink — so every router decides from the frozen
+// cycle-N state. The cross-router effects (upstream credit return,
+// downstream buffering, prioritizer charge, traversal stats) are deferred
+// into r.ops and applied by commitOps after every router has decided.
 func (r *Router) forward(port Port, vc int, ol *outLink, now uint64) {
 	ip := r.in[port]
 	st := &ip.vcs[vc]
@@ -392,12 +385,12 @@ func (r *Router) forward(port Port, vc int, ol *outLink, now uint64) {
 	r.ops = append(r.ops, fwdOp{f: f, feeder: ip.feeder, ol: ol, fvc: int32(vc), outVC: int32(outVC)})
 }
 
-// commitOps applies the cross-router half of this router's phase-A grants:
-// credits returned upstream, prioritizer busy-table charges, traversal
-// statistics, and the flit handoff into the downstream router (or the local
-// NIC). The network calls it for every ticked router in ascending node
-// order, so the commit sequence — and with it every Prioritizer callback,
-// observer event and statistics update — is identical at any worker count.
+// commitOps applies the cross-router half of this router's grants: credits
+// returned upstream, prioritizer busy-table charges, traversal statistics,
+// and the flit handoff into the downstream router (or the local NIC). The
+// network calls it for every ticked router in ascending node order, after
+// every router has decided, so no grant sees another's effects in the same
+// cycle.
 func (r *Router) commitOps(now uint64) {
 	n := r.net
 	for i := range r.ops {

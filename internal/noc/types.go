@@ -63,9 +63,6 @@ func NodeAt(layer, x, y int) NodeID {
 	return NodeID(layer*LayerSize + y*MeshDim + x)
 }
 
-// Valid reports whether n names an existing node.
-func (n NodeID) Valid() bool { return n >= 0 && n < NumNodes }
-
 // SameLayerDistance returns the Manhattan distance between two nodes of the
 // same layer.
 func SameLayerDistance(a, b NodeID) int {

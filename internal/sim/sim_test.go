@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"runtime"
+	"runtime/metrics"
 	"testing"
 
 	"sttsim/internal/core"
@@ -348,5 +350,50 @@ func TestEarlyWriteTerminationImprovesWriteHeavy(t *testing.T) {
 	}
 	if ewt.BankQueue >= plain.BankQueue {
 		t.Fatalf("EWT should reduce bank queueing: %.2f vs %.2f", ewt.BankQueue, plain.BankQueue)
+	}
+}
+
+// TestCloseIdempotent: Close is optional, and closing twice is safe.
+func TestCloseIdempotent(t *testing.T) {
+	s, err := New(Config{
+		Scheme:     SchemeSTT64TSB,
+		Assignment: workload.Homogeneous(workload.Profiles[0]),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if err := s.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s.Close()
+	s.Close()
+}
+
+// TestCloseKeepsSimulatorLive: a live-heap measurement reads the heap after
+// a GC and only then calls Close. Close must keep the simulator reachable up
+// to that call; otherwise the collector frees it first and the reading sees
+// almost nothing.
+func TestCloseKeepsSimulatorLive(t *testing.T) {
+	live := func() int64 {
+		runtime.GC()
+		sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+		metrics.Read(sample)
+		return int64(sample[0].Value.Uint64())
+	}
+	before := live()
+	s, err := New(Config{
+		Scheme:     SchemeSTT4TSBWB,
+		Assignment: workload.Homogeneous(workload.MustByName("tpcc")),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	held := live() - before
+	s.Close()
+	if held < 32<<20 {
+		t.Fatalf("live heap grew by %.2f MB while a WB simulator was held until Close, want > 32 MB",
+			float64(held)/(1<<20))
 	}
 }

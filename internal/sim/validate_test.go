@@ -34,6 +34,23 @@ func TestValidateAcceptsDefaults(t *testing.T) {
 	}
 }
 
+// TestValidateAcceptsFaultBeyondDefaultMesh: a port fault is checked against
+// the run's topology, not the default 128-node mesh, so node 200 of a
+// 256-node 16x8x2 mesh validates and builds.
+func TestValidateAcceptsFaultBeyondDefaultMesh(t *testing.T) {
+	cfg := validBase()
+	cfg.MeshX, cfg.MeshY, cfg.Layers = 16, 8, 2
+	cfg.Fault = &fault.Config{PortFaults: []fault.PortFault{{Cycle: 1, Node: 200, Port: 1, Period: 2}}}
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("Validate = %v, want nil", err)
+	}
+	s, err := New(cfg)
+	if err != nil {
+		t.Fatalf("New = %v, want nil", err)
+	}
+	s.Close()
+}
+
 // TestValidateRejectsHostileConfigs: the table of malformed/hostile shapes the
 // serving layer must turn into 400s. Every rejection is a typed
 // *ValidationError and names the offending field.

@@ -21,9 +21,17 @@ func TestCoordinatorClusterRunsJobs(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 
-	h, err := c.Health(ctx)
-	if err != nil {
-		t.Fatalf("Health: %v", err)
+	// Ready needs only one live worker; on a loaded host the second may not
+	// have sent its first lease poll yet, so give it a moment.
+	var h sttsim.Health
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(50 * time.Millisecond) {
+		var err error
+		if h, err = c.Health(ctx); err != nil {
+			t.Fatalf("Health: %v", err)
+		}
+		if h.WorkersAlive == 2 || time.Now().After(deadline) {
+			break
+		}
 	}
 	if h.Mode != "coordinator" || h.WorkersAlive != 2 {
 		t.Fatalf("health = %+v, want coordinator with 2 workers", h)
