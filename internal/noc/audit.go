@@ -9,16 +9,16 @@ import "fmt"
 //     in the downstream VC equals the buffer depth;
 //   - VC ownership: a VC holding flits belongs to exactly one packet, its
 //     header is first (when present), and a free VC holds no flits;
-//   - occupancy counters: the router's fast-path counters agree with the
-//     actual buffer contents.
+//   - occupancy state: the router's buffered-flit counter and its VA and SA
+//     masks agree with the actual VC states.
 //
 // The simulator's tests call this after traffic storms; it is cheap enough
 // to call every few thousand cycles in long soak runs.
 func (n *Network) CheckInvariants() error {
-	for id := NodeID(0); id < NumNodes; id++ {
+	for id := NodeID(0); id < NodeID(n.numNodes); id++ {
 		r := n.routers[id]
 		buffered := 0
-		needVC := 0
+		var vaMask, saMask uint64
 		for port := Port(0); port < NumPorts; port++ {
 			ip := r.in[port]
 			if ip == nil {
@@ -28,7 +28,10 @@ func (n *Network) CheckInvariants() error {
 				st := &ip.vcs[vc]
 				buffered += len(st.buf)
 				if st.pkt != nil && st.outVC < 0 {
-					needVC++
+					vaMask |= vcBit(port, vc)
+				}
+				if st.outVC >= 0 && len(st.buf) > 0 {
+					saMask |= vcBit(port, vc)
 				}
 				if st.pkt == nil && len(st.buf) > 0 {
 					return fmt.Errorf("noc: router %d port %s vc %d holds %d flits with no owner",
@@ -56,9 +59,13 @@ func (n *Network) CheckInvariants() error {
 			return fmt.Errorf("noc: router %d counter says %d buffered flits, found %d",
 				id, r.bufferedFlits, buffered)
 		}
-		if needVC != r.needVC {
-			return fmt.Errorf("noc: router %d counter says %d VCs awaiting allocation, found %d",
-				id, r.needVC, needVC)
+		if vaMask != r.vaMask {
+			return fmt.Errorf("noc: router %d VA mask %#x, VCs awaiting allocation %#x",
+				id, r.vaMask, vaMask)
+		}
+		if saMask != r.saMask {
+			return fmt.Errorf("noc: router %d SA mask %#x, VCs eligible for the switch %#x",
+				id, r.saMask, saMask)
 		}
 	}
 	return nil

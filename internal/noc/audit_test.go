@@ -69,19 +69,42 @@ func TestAuditDetectsBufferedFlitCounterDrift(t *testing.T) {
 	})
 }
 
-func TestAuditDetectsNeedVCCounterDrift(t *testing.T) {
-	corrupt(t, "awaiting allocation", func(n *Network) {
-		n.routers[5].needVC++
+func TestAuditDetectsVCMaskDrift(t *testing.T) {
+	corrupt(t, "VA mask", func(n *Network) {
+		n.routers[5].vaMask ^= vcBit(PortEast, 1)
+	})
+	corrupt(t, "SA mask", func(n *Network) {
+		n.routers[5].saMask ^= vcBit(PortLocal, 0)
 	})
 }
 
 func TestStepReturnsDeadlockErrorWithStalledDump(t *testing.T) {
 	n := mustNetwork(t, Config{WatchdogCycles: 200})
-	n.SetDeliver(64, func(*Packet, uint64) {})
-	// A permanently shut gate wedges everything headed to node 64.
-	n.NIC(64).SetGate(func(p *Packet, now uint64) bool { return false })
-	for i := 0; i < 40; i++ {
-		n.Inject(&Packet{Kind: KindWriteReq, Src: NodeID(i % 8), Dst: 64}, 0)
+	wedgeAndCheckDump(t, n, 64, 8, 40)
+}
+
+// TestDeadlockDumpOnSmallMesh: the audit and the stalled-packet dump walk the
+// network's own node count, so a 4x4x2 mesh (32 nodes) reports every packet
+// in flight instead of indexing past its last router.
+func TestDeadlockDumpOnSmallMesh(t *testing.T) {
+	r, err := NewRoutingTopo(Topology{MeshX: 4, MeshY: 4, Layers: 2}, PathAllTSVs, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := mustNetwork(t, Config{Routing: r, WatchdogCycles: 200})
+	wedgeAndCheckDump(t, n, 16, 16, 24)
+}
+
+// wedgeAndCheckDump shuts the gate of node sink for good, injects count write
+// requests into it from core nodes 0..sources-1, steps the network until the
+// watchdog fires, and checks the *DeadlockError's dump covers every packet in
+// flight with usable detail.
+func wedgeAndCheckDump(t *testing.T, n *Network, sink NodeID, sources, count int) {
+	t.Helper()
+	n.SetDeliver(sink, func(*Packet, uint64) {})
+	n.NIC(sink).SetGate(func(p *Packet, now uint64) bool { return false })
+	for i := 0; i < count; i++ {
+		n.Inject(&Packet{Kind: KindWriteReq, Src: NodeID(i % sources), Dst: sink}, 0)
 	}
 	var dl *DeadlockError
 	for now := uint64(0); now < 5000; now++ {
@@ -94,6 +117,9 @@ func TestStepReturnsDeadlockErrorWithStalledDump(t *testing.T) {
 	}
 	if dl == nil {
 		t.Fatal("watchdog never fired on a permanently blocked network")
+	}
+	if err := n.CheckInvariants(); err != nil {
+		t.Fatalf("wedged network violates invariants: %v", err)
 	}
 	if dl.InFlight != n.InFlight() || dl.InFlight == 0 {
 		t.Fatalf("deadlock reports %d in flight, network says %d", dl.InFlight, n.InFlight())
@@ -112,8 +138,8 @@ func TestStepReturnsDeadlockErrorWithStalledDump(t *testing.T) {
 	}
 	// The dump must carry usable debugging detail.
 	for _, p := range dl.Stalled {
-		if p.Dst != 64 {
-			t.Fatalf("stalled packet bound for %d, all traffic targeted 64", p.Dst)
+		if p.Dst != sink {
+			t.Fatalf("stalled packet bound for %d, all traffic targeted %d", p.Dst, sink)
 		}
 		if p.Where == "" {
 			t.Fatalf("stalled packet %d has no location", p.ID)

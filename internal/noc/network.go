@@ -182,6 +182,9 @@ func NewNetwork(cfg Config) (*Network, error) {
 		n.numVCs += vcs[c]
 		n.classHi[c] = n.numVCs
 	}
+	if n.numVCs > maxVCsPerPort {
+		return nil, fmt.Errorf("noc: %d VCs per port, at most %d supported", n.numVCs, maxVCsPerPort)
+	}
 
 	// Wide TSBs are named by their core-layer node; the 256-bit bus spans
 	// the whole column, so every down-link in that (x, y) column is wide.

@@ -54,6 +54,13 @@ func TestNetworkConfigValidation(t *testing.T) {
 	if _, err := NewNetwork(Config{Routing: r, WideTSBs: []NodeID{64}}); err == nil {
 		t.Fatal("expected error for cache-layer wide TSB")
 	}
+	// The VA and SA masks give each port maxVCsPerPort bits.
+	if _, err := NewNetwork(Config{Routing: r, VCsPerClass: []int{4, 3, 2}}); err == nil {
+		t.Fatal("expected error for 9 VCs per port")
+	}
+	if _, err := NewNetwork(Config{Routing: r, VCsPerClass: []int{4, 2, 2}}); err != nil {
+		t.Fatalf("8 VCs per port rejected: %v", err)
+	}
 }
 
 func TestSingleFlitPacketLatency(t *testing.T) {

@@ -1,6 +1,9 @@
 package noc
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // PriorityHold marks a packet that must not be served at all this cycle:
 // the paper's parent routers hold requests to busy banks in the router
@@ -54,13 +57,15 @@ func (v *vcState) pop() Flit {
 type inputPort struct {
 	vcs    []vcState
 	feeder *outLink // nil for ports with no incoming link
-
-	// buffered counts flits across this port's VCs so switchAlloc can skip
-	// whole empty ports without touching their VC states; needVC counts VCs
-	// holding an unallocated header so vcAlloc can do the same.
-	buffered int
-	needVC   int
 }
+
+// maxVCsPerPort bounds the VCs per input port: a router's VA and SA masks give
+// each input VC one bit of a uint64, bit port*maxVCsPerPort+vc, and
+// NumPorts*maxVCsPerPort must fit in 64.
+const maxVCsPerPort = 8
+
+// vcBit is the mask bit of input VC (port, vc).
+func vcBit(port Port, vc int) uint64 { return 1 << (uint(port)*maxVCsPerPort + uint(vc)) }
 
 // outLink is one output port and the link it drives, including the
 // credit/allocation state of the downstream input port's VCs.
@@ -112,9 +117,15 @@ type Router struct {
 	net *Network
 	va  int // VA round-robin pointer over input VCs
 
-	// Fast-path occupancy counters so idle routers cost almost nothing.
+	// vaMask marks the input VCs holding a header that waits for VC
+	// allocation (pkt != nil, outVC < 0); saMask marks those that own a
+	// downstream VC and hold at least one flit. Only acceptFlit, the VA grant
+	// and forward change them, and VA and SA walk their set bits instead of
+	// rescanning every (port, VC).
+	vaMask uint64
+	saMask uint64
+
 	bufferedFlits int // flits across all input VCs
-	needVC        int // input VCs holding a header awaiting VC allocation
 	bufCap        int // total flit-buffer capacity (fixed at construction)
 
 	// ops is the grant log, drained by commitOps each cycle; the backing
@@ -148,14 +159,14 @@ func (r *Router) acceptFlit(port Port, vc int, f Flit, now uint64) {
 		st.pkt = f.Pkt
 		st.outPort = r.net.routing.NextPort(r.id, f.Pkt)
 		st.outVC = -1
-		r.needVC++
-		ip.needVC++
+		r.vaMask |= vcBit(port, vc)
 		if o := r.net.obs; o != nil {
 			o.HeaderEnqueued(r.id, f.Pkt, now)
 		}
+	} else if st.outVC >= 0 {
+		r.saMask |= vcBit(port, vc)
 	}
 	st.buf = append(st.buf, f)
-	ip.buffered++
 	r.bufferedFlits++
 	r.net.stats.BufferWrites++
 }
@@ -165,75 +176,56 @@ func (r *Router) acceptFlit(port Port, vc int, f Flit, now uint64) {
 // served in priority order (bank-aware policy first), round-robin within a
 // priority level.
 func (r *Router) vcAlloc(now uint64) {
-	if r.needVC == 0 {
+	if r.vaMask == 0 {
 		return
 	}
 	nv := r.net.numVCs
-	total := int(NumPorts) * nv
-	startIdx := r.va % total
-	startPort := Port(startIdx / nv)
-	startVC := startIdx % nv
-	// Two passes: priority 0 candidates first, then the delayed ones. Once
-	// needVC hits zero no VC can pass the candidate filter below, so the
-	// remaining iterations (including a whole second pass) are pure no-ops
-	// and are skipped. While any candidate remains — delayed, held, or merely
-	// out of downstream VCs — both passes run in full, preserving the exact
-	// Priority call sequence (the bank-aware prioritizer counts its delay
-	// decisions, so call counts are observable in the stats).
-	for pass := 0; pass < 2 && r.needVC > 0; pass++ {
-		// The flat circular walk over (port, vc) from r.va decomposes into
-		// the tail of the start port, the other ports in wrap order, then the
-		// head of the start port. vaScan skips any port with no header
-		// awaiting allocation — no VC there can pass the candidate filter,
-		// so no Priority call is elided by the skip.
-		r.vaScan(pass, startPort, startVC, nv, now)
-		for pi := 1; pi < int(NumPorts) && r.needVC > 0; pi++ {
-			port := startPort + Port(pi)
-			if port >= NumPorts {
-				port -= NumPorts
+	startIdx := r.va % (int(NumPorts) * nv)
+	below := vcBit(Port(startIdx/nv), startIdx%nv) - 1
+	// Two passes: priority 0 candidates first, then the delayed ones. Each
+	// pass visits the VCs waiting for VA in the flat circular (port, vc)
+	// order from r.va — the set bits at or above the start bit, then those
+	// below — and every one of them, delayed, held or merely out of
+	// downstream VCs, gets its Priority call (the bank-aware prioritizer
+	// counts its delay decisions, so the call sequence is observable in the
+	// stats). A grant clears only the bit being visited and nothing sets a
+	// bit during VA, so walking a snapshot of the mask is the same walk.
+	for pass := 0; pass < 2 && r.vaMask != 0; pass++ {
+		m := r.vaMask
+		for _, seg := range [2]uint64{m &^ below, m & below} {
+			for ; seg != 0; seg &= seg - 1 {
+				r.vaTry(pass, bits.TrailingZeros64(seg), now)
 			}
-			r.vaScan(pass, port, 0, nv, now)
-		}
-		if r.needVC > 0 {
-			r.vaScan(pass, startPort, 0, startVC, now)
 		}
 	}
 	r.va++
 }
 
-// vaScan attempts VC allocation for input VCs [lo, hi) of one port during
-// the given pass; vcAlloc defines the walk order and pass semantics.
-func (r *Router) vaScan(pass int, port Port, lo, hi int, now uint64) {
-	ip := r.in[port]
-	if ip == nil || ip.needVC == 0 {
+// vaTry attempts VC allocation for the input VC at mask bit b during the
+// given pass; vcAlloc defines the walk order and pass semantics.
+func (r *Router) vaTry(pass, b int, now uint64) {
+	st := &r.in[b/maxVCsPerPort].vcs[b%maxVCsPerPort]
+	// A VC waiting for VA has forwarded nothing yet, so its head is the
+	// header flit.
+	if now < st.head().readyAt {
 		return
 	}
-	for vc := lo; vc < hi && r.needVC > 0; vc++ {
-		st := &ip.vcs[vc]
-		if st.pkt == nil || st.outVC >= 0 || st.empty() {
-			continue
-		}
-		h := st.head()
-		if !h.IsHead() || now < h.readyAt {
-			continue
-		}
-		prio := r.net.priority(r.id, st.pkt, now)
-		if prio >= PriorityHold {
-			// Held at this router: do not even reserve a downstream VC.
-			continue
-		}
-		if (pass == 0) != (prio == 0) {
-			continue
-		}
-		ol := r.out[st.outPort]
-		if ol == nil {
-			panic(fmt.Sprintf("noc: packet %d routed to missing port %s at router %d", st.pkt.ID, st.outPort, r.id))
-		}
-		if v := ol.allocVC(st.pkt.Class, r.net); v >= 0 {
-			st.outVC = v
-			r.needVC--
-			ip.needVC--
-		}
+	prio := r.net.priority(r.id, st.pkt, now)
+	if prio >= PriorityHold {
+		// Held at this router: do not even reserve a downstream VC.
+		return
+	}
+	if (pass == 0) != (prio == 0) {
+		return
+	}
+	ol := r.out[st.outPort]
+	if ol == nil {
+		panic(fmt.Sprintf("noc: packet %d routed to missing port %s at router %d", st.pkt.ID, st.outPort, r.id))
+	}
+	if v := ol.allocVC(st.pkt.Class, r.net); v >= 0 {
+		st.outVC = v
+		r.vaMask &^= 1 << uint(b)
+		r.saMask |= 1 << uint(b)
 	}
 }
 
@@ -266,7 +258,7 @@ type saCandidate struct {
 // switchAlloc runs the SA+ST stages: for every output port, pick up to
 // `width` winners among ready flits and move them across the link.
 func (r *Router) switchAlloc(now uint64) {
-	if r.bufferedFlits == 0 {
+	if r.saMask == 0 {
 		return
 	}
 	// The candidate lists live on the router and are re-sliced to length zero
@@ -277,37 +269,31 @@ func (r *Router) switchAlloc(now uint64) {
 	for p := range cands {
 		cands[p] = cands[p][:0]
 	}
-	for port := Port(0); port < NumPorts; port++ {
-		ip := r.in[port]
-		if ip == nil || ip.buffered == 0 {
+	// Ascending bit order is ascending (port, vc) order, so the candidate
+	// lists and the Priority calls come out as a full scan would make them.
+	for m := r.saMask; m != 0; m &= m - 1 {
+		b := bits.TrailingZeros64(m)
+		port, vc := Port(b/maxVCsPerPort), b%maxVCsPerPort
+		st := &r.in[port].vcs[vc]
+		// The flit spends at least one cycle in stage 1 (RC/VA) before
+		// competing for the switch in stage 2.
+		if now < st.head().readyAt+1 {
 			continue
 		}
-		for vc := range ip.vcs {
-			st := &ip.vcs[vc]
-			if st.pkt == nil || st.outVC < 0 || st.empty() {
-				continue
-			}
-			h := st.head()
-			// The flit spends at least one cycle in stage 1 (RC/VA) before
-			// competing for the switch in stage 2.
-			if now < h.readyAt+1 {
-				continue
-			}
-			ol := r.out[st.outPort]
-			if ol.credits[st.outVC] <= 0 || !ol.usableAt(now) {
-				continue
-			}
-			if st.outPort == PortLocal && !r.net.nics[r.id].canEject(st.pkt.Class) {
-				// The node interface is full for this class: hold the flit
-				// in the router (backpressure into the network).
-				continue
-			}
-			cands[st.outPort] = append(cands[st.outPort], saCandidate{
-				port: port,
-				vc:   vc,
-				prio: r.net.priority(r.id, st.pkt, now),
-			})
+		ol := r.out[st.outPort]
+		if ol.credits[st.outVC] <= 0 || !ol.usableAt(now) {
+			continue
 		}
+		if st.outPort == PortLocal && !r.net.nics[r.id].canEject(st.pkt.Class) {
+			// The node interface is full for this class: hold the flit
+			// in the router (backpressure into the network).
+			continue
+		}
+		cands[st.outPort] = append(cands[st.outPort], saCandidate{
+			port: port,
+			vc:   vc,
+			prio: r.net.priority(r.id, st.pkt, now),
+		})
 	}
 	for port := Port(0); port < NumPorts; port++ {
 		ol := r.out[port]
@@ -324,7 +310,7 @@ func (r *Router) switchAlloc(now uint64) {
 			// into this cycle (the XShare-style 2x128b transfer of Section
 			// 3.4); keep the VC in the list while it still has a ready flit.
 			st := &r.in[c.port].vcs[c.vc]
-			if st.pkt != nil && st.outVC >= 0 && !st.empty() &&
+			if r.saMask&vcBit(c.port, c.vc) != 0 &&
 				now >= st.head().readyAt+1 && ol.credits[st.outVC] > 0 {
 				list[win] = c
 			} else {
@@ -367,7 +353,6 @@ func (r *Router) forward(port Port, vc int, ol *outLink, now uint64) {
 	ip := r.in[port]
 	st := &ip.vcs[vc]
 	f := st.pop()
-	ip.buffered--
 	r.bufferedFlits--
 	outVC := st.outVC
 
@@ -379,6 +364,9 @@ func (r *Router) forward(port Port, vc int, ol *outLink, now uint64) {
 		ol.tailSent[outVC] = true
 		st.pkt = nil
 		st.outVC = -1
+	}
+	if f.Tail || st.empty() {
+		r.saMask &^= vcBit(port, vc)
 	}
 
 	f.readyAt = now + 2 // ST this cycle, link next; available downstream after

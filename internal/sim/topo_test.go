@@ -9,7 +9,8 @@ import (
 
 // TestNonDefaultTopologiesRun: the parameterized shapes the exploration
 // engine sweeps — smaller meshes, taller stacks, rectangular layers — all
-// build, run, and retire instructions end to end under the full WB scheme.
+// build, run, pass periodic invariant audits over every router, and retire
+// instructions end to end under the full WB scheme.
 func TestNonDefaultTopologiesRun(t *testing.T) {
 	for _, shape := range []struct{ x, y, l int }{
 		{4, 4, 2}, {4, 4, 3}, {8, 8, 3}, {16, 8, 2}, {2, 8, 2},
@@ -19,6 +20,7 @@ func TestNonDefaultTopologiesRun(t *testing.T) {
 			Assignment: workload.Homogeneous(workload.MustByName("x264")),
 			MeshX:      shape.x, MeshY: shape.y, Layers: shape.l,
 			WarmupCycles: 2000, MeasureCycles: 5000, Regions: 4,
+			AuditInterval: 500,
 		}
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("%dx%dx%d: validate: %v", shape.x, shape.y, shape.l, err)
