@@ -12,13 +12,28 @@ import (
 // MaxMSHRs is the per-bank miss-status-holding-register count (Table 1).
 const MaxMSHRs = 32
 
-// line is one tag-array entry with its directory state.
-type line struct {
-	tag     uint64 // line address
-	valid   bool
-	dirty   bool
-	sharers uint64 // presence bit per core (directory vector)
-	lastUse uint64 // LRU timestamp
+// Tag-word layout. Each way of a tag array is one uint64: the line address in
+// the low 57 bits (byte addresses are 64-bit and lines 128 bytes, so every
+// line address fits) and the way's state flags above it. A way's word is zero
+// until the way first holds a line, and tagUsed keeps it nonzero after an
+// invalidation, so a zero word means "never used".
+const (
+	tagAddr  uint64 = 1<<57 - 1
+	tagDirty uint64 = 1 << 61
+	tagValid uint64 = 1 << 62
+	tagUsed  uint64 = 1 << 63
+)
+
+// tagArray is a bank's tag words and the set geometry that indexes them: the
+// part of the tag store a preload writes, and so all a tag image holds.
+//
+// Preload and allocate always fill the first way that holds no valid line,
+// so the used ways of every set form a prefix and a probe stops at the first
+// zero word instead of scanning all Associativity ways.
+type tagArray struct {
+	am      *AddrMap
+	numSets int
+	tags    []uint64 // numSets*Associativity tag words, set by set
 }
 
 // mshr tracks one outstanding miss and the requesters merged onto it.
@@ -94,11 +109,13 @@ type Stats struct {
 // into the network each cycle.
 type BankController struct {
 	node noc.NodeID
-	am   *AddrMap
 	bank *mem.Bank
 
-	numSets int
-	lines   []line // tag array, one slab of numSets*Associativity ways
+	// The tag store: tag words plus, per way in parallel arrays, the
+	// directory presence vector and the LRU stamp.
+	tagArray
+	sharers []uint64 // presence bit per core (directory vector)
+	lastUse []uint64 // LRU timestamp
 
 	mshrs    map[uint64]*mshr
 	mshrWait []pendingMiss // misses waiting for a free MSHR
@@ -170,18 +187,33 @@ func NewBankController(node noc.NodeID, bank *mem.Bank) *BankController {
 // NewBankControllerMapped builds the bank using an explicit topology address
 // map (non-default shapes).
 func NewBankControllerMapped(node noc.NodeID, bank *mem.Bank, am *AddrMap) *BankController {
+	return NewBankControllerTags(node, bank, am, nil)
+}
+
+// NewBankControllerTags builds the bank around tags, the tag words of a bank
+// of its capacity under am — typically a NewTagImage result or a clone of
+// one. The controller owns tags from here on and writes to them; nil starts
+// with an empty tag array.
+func NewBankControllerTags(node noc.NodeID, bank *mem.Bank, am *AddrMap, tags []uint64) *BankController {
 	if am == nil {
 		am = DefaultAddrMap()
 	}
 	if am.Topology().Layer(node) == 0 {
 		panic(fmt.Sprintf("cache: bank controller node %d is not in a cache layer", node))
 	}
+	numSets := SetsFor(bank.Tech().CapacityMB)
+	ways := numSets * Associativity
+	if tags == nil {
+		tags = make([]uint64, ways)
+	} else if len(tags) != ways {
+		panic(fmt.Sprintf("cache: bank %d given %d tag words, its capacity needs %d", node, len(tags), ways))
+	}
 	return &BankController{
 		node:        node,
-		am:          am,
 		bank:        bank,
-		numSets:     SetsFor(bank.Tech().CapacityMB),
-		lines:       make([]line, SetsFor(bank.Tech().CapacityMB)*Associativity),
+		tagArray:    tagArray{am: am, numSets: numSets, tags: tags},
+		sharers:     make([]uint64, ways),
+		lastUse:     make([]uint64, ways),
 		mshrs:       make(map[uint64]*mshr),
 		fillSharers: make(map[uint64]uint64),
 		meta:        make(map[uint64]reqMeta),
@@ -260,35 +292,59 @@ func (bc *BankController) drainRetries(now uint64) {
 	bc.retryQ = kept
 }
 
-// set returns the ways of the set holding a line address — a window into the
-// bank's single tag-array slab (the slab's untouched pages stay unmapped, so
-// eager sizing costs no more physical memory than lazy per-set allocation
-// did). The index is a hash of the line address above the bank-interleaving
-// bits — LLCs commonly hash their index to break power-of-two stride
-// pathologies, and our synthetic address-space bases are exactly such
-// strides.
-func (bc *BankController) set(lineAddr uint64) []line {
-	idx := bc.setIndex(lineAddr)
-	return bc.lines[idx*Associativity : (idx+1)*Associativity]
-}
-
-// setIndex hashes a line address to its set.
-func (bc *BankController) setIndex(lineAddr uint64) int {
-	v := bc.am.BankInterleave(lineAddr)
+// setBase returns the index of the first way of the set holding a line
+// address; the set's ways are the Associativity words from there. The set
+// index is a hash of the line address above the bank-interleaving bits —
+// LLCs commonly hash their index to break power-of-two stride pathologies,
+// and our synthetic address-space bases are exactly such strides.
+func (ta *tagArray) setBase(lineAddr uint64) int {
+	v := ta.am.BankInterleave(lineAddr)
 	v *= 0x9E3779B97F4A7C15
 	v ^= v >> 29
-	return int(v % uint64(bc.numSets))
+	return int(v%uint64(ta.numSets)) * Associativity
 }
 
-// lookup returns the way holding lineAddr, or nil.
-func (bc *BankController) lookup(lineAddr uint64) *line {
-	set := bc.set(lineAddr)
-	for i := range set {
-		if set[i].valid && set[i].tag == lineAddr {
-			return &set[i]
+// lookup returns the way holding lineAddr as a valid line, or -1. It stops
+// at the set's first never-used way: no way past it has held a line.
+func (ta *tagArray) lookup(lineAddr uint64) int {
+	base := ta.setBase(lineAddr)
+	want := lineAddr | tagUsed | tagValid
+	for w := base; w < base+Associativity; w++ {
+		t := ta.tags[w]
+		if t == 0 {
+			break
+		}
+		if t&^tagDirty == want {
+			return w
 		}
 	}
-	return nil
+	return -1
+}
+
+// preload installs a line as valid and clean unless it is already resident,
+// and returns the way it wrote (-1 when resident). The line takes the set's
+// first way without a valid line; a full set gives up its first way.
+func (ta *tagArray) preload(lineAddr uint64) int {
+	base := ta.setBase(lineAddr)
+	free := -1
+	for w := base; w < base+Associativity; w++ {
+		t := ta.tags[w]
+		if t&tagValid == 0 {
+			if free < 0 {
+				free = w
+			}
+			if t == 0 {
+				break
+			}
+		} else if t&tagAddr == lineAddr {
+			return -1
+		}
+	}
+	if free < 0 {
+		free = base // set full during preload: replace way 0 (deterministic)
+	}
+	ta.tags[free] = lineAddr | tagUsed | tagValid
+	return free
 }
 
 // send queues an outbound packet.
@@ -384,11 +440,11 @@ func accessNocKind(k accessKind) noc.Kind {
 // finishRead handles a completed tag+data probe for a core read.
 func (bc *BankController) finishRead(m reqMeta, c *mem.Completion, now uint64) {
 	la := LineAddr(m.addr)
-	if ln := bc.lookup(la); ln != nil {
+	if w := bc.lookup(la); w >= 0 {
 		bc.stats.ReadHits++
-		ln.lastUse = now
+		bc.lastUse[w] = now
 		if m.core >= 0 && m.core < 64 {
-			ln.sharers |= 1 << uint(m.core)
+			bc.sharers[w] |= 1 << uint(m.core)
 		}
 		bc.send(bc.pkt(noc.Packet{
 			Kind: noc.KindReadResp, Src: bc.node, Dst: m.src,
@@ -449,10 +505,10 @@ func (bc *BankController) finishWrite(m reqMeta, c *mem.Completion, now uint64) 
 		// writer — the hardware raises a machine-check, not a hang.
 		bc.stats.RetriesExhausted++
 		bc.tracer.Fault(obs.FaultWriteDropped, bc.node, m.pktID, uint64(m.retries), 0, now)
-		if ln := bc.lookup(la); ln != nil {
-			bc.invalidateSharers(ln, -1)
-			ln.valid = false
-			ln.sharers = 0
+		if w := bc.lookup(la); w >= 0 {
+			bc.invalidateSharers(w, -1)
+			bc.tags[w] &^= tagValid
+			bc.sharers[w] = 0
 			bc.stats.LinesInvalidated++
 		}
 		bc.send(bc.pkt(noc.Packet{
@@ -463,21 +519,21 @@ func (bc *BankController) finishWrite(m reqMeta, c *mem.Completion, now uint64) 
 		}))
 		return
 	}
-	ln := bc.lookup(la)
-	if ln != nil {
+	w := bc.lookup(la)
+	if w >= 0 {
 		bc.stats.WriteHits++
 	} else {
 		// Write-allocate in place: the writeback carries the full line, so
 		// no memory fetch is needed.
 		bc.stats.WriteMisses++
-		ln = bc.allocate(la, now)
+		w = bc.allocate(la, now)
 	}
-	ln.dirty = true
-	ln.lastUse = now
+	bc.tags[w] |= tagDirty
+	bc.lastUse[w] = now
 	// Directory action: invalidate all other sharers. The writer's L1 gave
 	// the line up by writing it back.
-	bc.invalidateSharers(ln, m.core)
-	ln.sharers = 0
+	bc.invalidateSharers(w, m.core)
+	bc.sharers[w] = 0
 	bc.send(bc.pkt(noc.Packet{
 		Kind: noc.KindWriteAck, Src: bc.node, Dst: m.src,
 		Addr: m.addr, Proc: m.core,
@@ -547,61 +603,66 @@ func (bc *BankController) finishFill(m reqMeta, c *mem.Completion, now uint64) {
 		return
 	}
 	bc.stats.Fills++
-	ln := bc.lookup(la)
-	if ln == nil {
-		ln = bc.allocate(la, now)
+	w := bc.lookup(la)
+	if w < 0 {
+		w = bc.allocate(la, now)
 	}
-	ln.dirty = false
-	ln.lastUse = now
-	ln.sharers |= bc.fillSharers[la]
+	bc.tags[w] &^= tagDirty
+	bc.lastUse[w] = now
+	bc.sharers[w] |= bc.fillSharers[la]
 	delete(bc.fillSharers, la)
 }
 
-// allocate victimizes a way in the line's set and installs the new tag.
-func (bc *BankController) allocate(lineAddr uint64, now uint64) *line {
-	set := bc.set(lineAddr)
-	victim := 0
-	for i := range set {
-		if !set[i].valid {
-			victim = i
+// allocate victimizes a way in the line's set — the first way without a
+// valid line, else the least recently used — installs the new tag there and
+// returns the way.
+func (bc *BankController) allocate(lineAddr uint64, now uint64) int {
+	base := bc.setBase(lineAddr)
+	victim := base
+	for w := base; w < base+Associativity; w++ {
+		if bc.tags[w]&tagValid == 0 {
+			victim = w
 			break
 		}
-		if set[i].lastUse < set[victim].lastUse {
-			victim = i
+		if bc.lastUse[w] < bc.lastUse[victim] {
+			victim = w
 		}
 	}
-	v := &set[victim]
-	if v.valid {
+	if t := bc.tags[victim]; t&tagValid != 0 {
 		bc.stats.Evictions++
 		// Recall the line from any L1s still holding it.
-		bc.invalidateSharers(v, -1)
-		if v.dirty {
+		bc.invalidateSharers(victim, -1)
+		if t&tagDirty != 0 {
 			bc.stats.Writebacks++
-			addr := AddrOfLine(v.tag)
+			addr := AddrOfLine(t & tagAddr)
 			bc.send(bc.pkt(noc.Packet{
 				Kind: noc.KindMemReq, Src: bc.node, Dst: bc.am.MCNode(addr),
 				Addr: addr, Proc: -1, SizeFlits: noc.DataPacketFlits, IsBankWrite: true,
 			}))
 		}
 	}
-	*v = line{tag: lineAddr, valid: true, lastUse: now}
-	return v
+	bc.tags[victim] = lineAddr | tagUsed | tagValid
+	bc.sharers[victim] = 0
+	bc.lastUse[victim] = now
+	return victim
 }
 
-// invalidateSharers sends an invalidation to every sharer except the given
-// core (-1 invalidates everyone).
-func (bc *BankController) invalidateSharers(ln *line, except int) {
-	if ln.sharers == 0 {
+// invalidateSharers sends an invalidation for the line in way w to every
+// sharer except the given core (-1 invalidates everyone).
+func (bc *BankController) invalidateSharers(w int, except int) {
+	sharers := bc.sharers[w]
+	if sharers == 0 {
 		return
 	}
+	addr := AddrOfLine(bc.tags[w] & tagAddr)
 	for core := 0; core < 64; core++ {
-		if core == except || ln.sharers&(1<<uint(core)) == 0 {
+		if core == except || sharers&(1<<uint(core)) == 0 {
 			continue
 		}
 		bc.stats.InvSent++
 		bc.send(bc.pkt(noc.Packet{
 			Kind: noc.KindInv, Src: bc.node, Dst: noc.NodeID(core),
-			Addr: AddrOfLine(ln.tag), Proc: core,
+			Addr: addr, Proc: core,
 		}))
 	}
 }
@@ -635,53 +696,30 @@ func (bc *BankController) ResetStats() {
 // tag warmup standing in for the billions of instructions the paper's traces
 // execute before measurement.
 func (bc *BankController) Preload(lineAddr uint64) {
-	// Single walk: find the resident copy or the first free way. sim.New
-	// calls this ~400K times per construction, so the separate lookup-then-
-	// insert double scan is worth avoiding.
-	set := bc.set(lineAddr)
-	free := -1
-	for i := range set {
-		if set[i].valid {
-			if set[i].tag == lineAddr {
-				return
-			}
-		} else if free < 0 {
-			free = i
-		}
+	if w := bc.preload(lineAddr); w >= 0 {
+		bc.sharers[w] = 0
+		bc.lastUse[w] = 0
 	}
-	if free < 0 {
-		free = 0 // set full during preload: replace way 0 (deterministic)
-	}
-	set[free] = line{tag: lineAddr, valid: true}
 }
 
-// PreloadBatch installs many lines at once. Hashed set indices scatter a
-// call-per-line preload randomly over the multi-megabyte tag slab (a TLB and
-// cache miss per line, the dominant cost of simulator construction), so the
-// batch is first bucketed by set index — a stable counting sort, preserving
-// per-set insertion order and therefore the exact way layout sequential
-// Preload calls produce — and then installed in slab order.
+// PreloadBatch installs many lines at once, in order; the result is that of
+// one Preload call per line.
 func (bc *BankController) PreloadBatch(lineAddrs []uint64) {
-	n := len(lineAddrs)
-	if n == 0 {
-		return
-	}
-	idxs := make([]int32, n)
-	starts := make([]int32, bc.numSets+1)
-	for i, la := range lineAddrs {
-		ix := int32(bc.setIndex(la))
-		idxs[i] = ix
-		starts[ix+1]++
-	}
-	for s := 0; s < bc.numSets; s++ {
-		starts[s+1] += starts[s]
-	}
-	sorted := make([]uint64, n)
-	for i, la := range lineAddrs {
-		sorted[starts[idxs[i]]] = la
-		starts[idxs[i]]++
-	}
-	for _, la := range sorted {
+	for _, la := range lineAddrs {
 		bc.Preload(la)
 	}
+}
+
+// NewTagImage returns the tag words of an empty bank of the given capacity
+// under am after preloading lineAddrs in order: the tag array PreloadBatch
+// would leave. Preloaded lines have no sharers and a zero LRU stamp, so the
+// words are the bank's whole preloaded state, and NewBankControllerTags on a
+// clone of them rebuilds it.
+func NewTagImage(am *AddrMap, capacityMB int, lineAddrs []uint64) []uint64 {
+	numSets := SetsFor(capacityMB)
+	ta := tagArray{am: am, numSets: numSets, tags: make([]uint64, numSets*Associativity)}
+	for _, la := range lineAddrs {
+		ta.preload(la)
+	}
+	return ta.tags
 }

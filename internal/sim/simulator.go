@@ -261,16 +261,42 @@ func New(cfg Config) (*Simulator, error) {
 		s.cores[i].UsePool(s.pool)
 	}
 
+	// Bank technologies: the first HybridSRAMBanks banks are SRAM.
+	tech := cfg.BankTech()
+	techOf := func(bank int) mem.Tech {
+		if bank < cfg.HybridSRAMBanks {
+			return mem.SRAM
+		}
+		return tech
+	}
+	numBanks := topo.NumBanks()
+
+	// The L2 tags start prewarmed with every generator's hot footprint, so
+	// hit rates match the Table 3 characterization from the first measured
+	// cycle. The preloaded tag words come from the process's image memo;
+	// only a miss gathers the footprint and installs it.
+	keys := make([]imageKey, numBanks)
+	for i := range keys {
+		keys[i] = imageKey{topo, cfg.Assignment.Mode, techOf(i).CapacityMB, i}
+	}
+	var lines [][]uint64 // gathered on the first image miss only
+	images, shared := tagImages.get(keys, func(i int) []uint64 {
+		if lines == nil {
+			lines = prewarmLines(am, gens)
+		}
+		return cache.NewTagImage(am, keys[i].capacityMB, lines[i])
+	})
+
 	// Banks (optionally write-buffered, optionally hybrid) and memory
 	// controllers.
-	tech := cfg.BankTech()
-	numBanks := topo.NumBanks()
 	s.banks = make([]*cache.BankController, numBanks)
 	for i := 0; i < numBanks; i++ {
 		node := topo.BankNode(i)
-		bankTech := tech
-		if i < cfg.HybridSRAMBanks {
-			bankTech = mem.SRAM
+		bankTech, tags := techOf(i), images[i]
+		if shared[i] {
+			// Clone the memo's image; appending onto nil copies it without
+			// zeroing the new array first, as make plus copy would.
+			tags = append([]uint64(nil), tags...)
 		}
 		var bank *mem.Bank
 		if cfg.WriteBufferEntries > 0 {
@@ -281,7 +307,7 @@ func New(cfg Config) (*Simulator, error) {
 		if cfg.EarlyWriteTermination {
 			bank.EnableEarlyTermination(cfg.Seed ^ uint64(i)*0x9E3779B97F4A7C15)
 		}
-		s.banks[i] = cache.NewBankControllerMapped(node, bank, am)
+		s.banks[i] = cache.NewBankControllerTags(node, bank, am, tags)
 		s.banks[i].UsePool(s.pool)
 		s.banks[i].SetGapHistogram(s.gapHist)
 		if s.tracer != nil {
@@ -308,31 +334,6 @@ func New(cfg Config) (*Simulator, error) {
 		}
 		s.mcs = append(s.mcs, mcw)
 		s.mcAt[node] = mcw
-	}
-
-	// Prewarm the L2 tags with every generator's hot footprint so hit rates
-	// match the Table 3 characterization from the first measured cycle. The
-	// shared segment is identical across generators, so it is installed once;
-	// lines are gathered per home bank and installed via PreloadBatch, which
-	// visits each bank's tag slab in set order instead of hash-scattered
-	// (the way layout is unchanged — see PreloadBatch).
-	batches := make([][]uint64, numBanks)
-	gather := func(lines []uint64) {
-		for _, lineAddr := range lines {
-			b := am.HomeBank(cache.AddrOfLine(lineAddr))
-			batches[b] = append(batches[b], lineAddr)
-		}
-	}
-	sharedDone := false
-	for _, g := range gens {
-		gather(g.PrivateFootprint())
-		if sh := g.SharedFootprint(); len(sh) > 0 && !sharedDone {
-			gather(sh)
-			sharedDone = true
-		}
-	}
-	for b, lines := range batches {
-		s.banks[b].PreloadBatch(lines)
 	}
 
 	s.wireDelivery()

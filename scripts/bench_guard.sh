@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # bench_guard.sh — performance regression guard over the checked-in baseline
-# (BENCH_baseline.json at the repo root). Three benchmarks are gated:
+# (BENCH_baseline.json at the repo root). Five benchmarks are gated:
 #
 #   BenchmarkTracingDisabled   the observability disabled path: a full
 #                              simulator cycle with tracing compiled in but
@@ -10,6 +10,12 @@
 #                              (DESIGN.md §13)
 #   BenchmarkFullRun/wb        end-to-end sim.Run wall clock and total
 #                              allocation count for the heaviest scheme
+#   BenchmarkNew/cold          construction alone (internal/sim) with an
+#                              empty tag-image memo: the cost a process's
+#                              first run of a topology, sharing mode and
+#                              bank capacity pays (DESIGN.md §13)
+#   BenchmarkNew/warm          construction alone on a tag-image memo hit,
+#                              as every later run of that key
 #
 # Each benchmark is compared on two axes:
 #
@@ -36,7 +42,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BASELINE=BENCH_baseline.json
-BENCHES=(BenchmarkTracingDisabled BenchmarkSteadyStateCycle BenchmarkFullRun/wb)
+BENCHES=(BenchmarkTracingDisabled BenchmarkSteadyStateCycle BenchmarkFullRun/wb BenchmarkNew/cold BenchmarkNew/warm)
 COUNT=6
 BENCHTIME=500ms
 # Wall-clock gate: loose enough to ignore scheduler jitter on a busy host
@@ -52,15 +58,18 @@ BYTES_SLACK=64
 
 host_key="$(uname -sm | tr ' ' '-')-$(nproc)c"
 
-# One line per sample: "<benchmark> <ns/op> <B/op> <allocs/op>". Two
+# One line per sample: "<benchmark> <ns/op> <B/op> <allocs/op>". Three
 # invocations: a sub-benchmark pattern element (the /^wb$/) would filter out
-# the leaf benchmarks, so they cannot share one -bench expression.
+# the leaf benchmarks, so they cannot share one -bench expression, and
+# BenchmarkNew lives in internal/sim, next to the memo it clears.
 run_bench() {
     {
         go test -run '^$' -bench '^(BenchmarkTracingDisabled|BenchmarkSteadyStateCycle)$' \
             -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
         go test -run '^$' -bench '^BenchmarkFullRun$/^wb$' \
             -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
+        go test -run '^$' -bench '^BenchmarkNew$' \
+            -benchmem -benchtime "$BENCHTIME" -count "$COUNT" ./internal/sim
     } | awk -v procs="${GOMAXPROCS:-$(nproc)}" '$2 ~ /^[0-9]+$/ && $4 == "ns/op" {
             # Strip exactly the -GOMAXPROCS suffix (absent when procs is 1).
             name = $1
