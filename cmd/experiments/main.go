@@ -1,7 +1,7 @@
 // Command experiments regenerates every table and figure of the paper's
 // evaluation section. By default it runs the full 42-benchmark campaign;
-// -quick restricts sweeps to a representative subset, and -exp selects a
-// single experiment.
+// -quick restricts sweeps to a representative subset, and -exp selects
+// experiments by a comma-separated list of names.
 //
 // The campaign is supervised: runs execute on a bounded worker pool (-jobs),
 // each with an optional wall-clock budget (-run-timeout), panic recovery and
@@ -13,7 +13,7 @@
 //
 // Usage:
 //
-//	experiments [-quick] [-exp all|table2|table3|fig3|fig6|fig7|fig8|fig9|fig10|fig12|fig13|fig14]
+//	experiments [-quick] [-exp all|table2,table3,fig3,fig6,fig7,fig8,fig9,fig10,fig12,fig13,fig14,...]
 //	            [-warmup N] [-measure N] [-seed N]
 //	            [-jobs N] [-run-timeout D] [-checkpoint FILE] [-resume]
 //	            [-obs-addr :6060] [-metrics-out FILE [-metrics-interval N]]
@@ -43,13 +43,14 @@ import (
 	"sttsim/internal/mem"
 	"sttsim/internal/noc"
 	"sttsim/internal/prof"
+	"sttsim/internal/service"
 	"sttsim/internal/sim"
 	"sttsim/internal/version"
-	"sttsim/internal/workload"
+	api "sttsim/pkg/sttsim"
 )
 
 func main() {
-	which := flag.String("exp", "all", "experiment to run (all, table2, table3, fig3, fig6, fig7, fig8, fig9, fig10, fig12, fig13, fig14, ablations, extensions, resilience)")
+	which := flag.String("exp", "all", "comma-separated experiments to run (all, table2, table3, fig3, fig6, fig7, fig8, fig9, fig10, fig12, fig13, fig14, ablations, extensions, resilience)")
 	quick := flag.Bool("quick", false, "restrict sweeps to a representative benchmark subset")
 	warmup := flag.Uint64("warmup", 0, "warmup cycles per run (0 = default)")
 	measure := flag.Uint64("measure", 0, "measured cycles per run (0 = default)")
@@ -307,6 +308,21 @@ func run(which string, quick bool, warmup, measure, seed uint64, tech, topo stri
 		"resilience": "Resilience: degradation under stochastic write errors and TSB failures (tpcc)",
 	}
 
+	selected := map[string]bool{}
+	for _, name := range strings.Split(which, ",") {
+		name = strings.TrimSpace(name)
+		if _, ok := titles[name]; !ok && name != "all" {
+			valid := []string{"all"}
+			for _, e := range experiments {
+				valid = append(valid, e.name)
+			}
+			fmt.Fprintf(os.Stderr, "unknown experiment %q (want a comma-separated list of: %s)\n",
+				name, strings.Join(valid, ", "))
+			return 2
+		}
+		selected[name] = true
+	}
+
 	// verdict is one experiment's outcome for the end-of-campaign summary.
 	type verdict struct {
 		name      string
@@ -317,12 +333,10 @@ func run(which string, quick bool, warmup, measure, seed uint64, tech, topo stri
 		secs      float64
 	}
 	var verdicts []verdict
-	ran := false
 	for _, e := range experiments {
-		if which != "all" && which != e.name {
+		if !selected["all"] && !selected[e.name] {
 			continue
 		}
-		ran = true
 		if eng.Interrupted() && e.name != "table2" {
 			verdicts = append(verdicts, verdict{name: e.name, skipped: true})
 			continue
@@ -350,11 +364,6 @@ func run(which string, quick bool, warmup, measure, seed uint64, tech, topo stri
 		fmt.Fprintf(os.Stderr, "(%s in %.1fs)\n", e.name, v.secs)
 		fmt.Fprintln(w)
 	}
-	if !ran {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", which)
-		return 2
-	}
-
 	eng.Drain()
 	st := eng.Stats()
 	fmt.Fprintf(os.Stderr, "campaign: %s\n", st)
@@ -410,32 +419,16 @@ func run(which string, quick bool, warmup, measure, seed uint64, tech, topo stri
 // writeMetricsArtifact samples the recommended scheme on tpcc and exports the
 // time series next to the campaign's other outputs.
 func writeMetricsArtifact(path string, interval, warmup, measure, seed uint64) error {
-	prof, err := workload.ByName("tpcc")
-	if err != nil {
-		return err
-	}
-	res, err := sim.Run(sim.Config{
-		Scheme:        sim.SchemeSTT4TSBWB,
-		Assignment:    workload.Homogeneous(prof),
-		Seed:          seed,
-		WarmupCycles:  warmup,
-		MeasureCycles: measure,
-		Obs:           &sim.ObsConfig{MetricsInterval: interval},
+	cfg, err := service.SpecConfig(api.JobSpec{
+		Scheme: "wb", Bench: "tpcc", Seed: seed, WarmupCycles: warmup, MeasureCycles: measure,
 	})
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(path)
+	cfg.Obs = &sim.ObsConfig{MetricsInterval: interval}
+	res, err := sim.Run(cfg)
 	if err != nil {
 		return err
 	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = res.Metrics.WriteJSONL(f)
-	} else {
-		err = res.Metrics.WriteCSV(f)
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return res.Metrics.WriteFile(path)
 }

@@ -31,9 +31,8 @@ import (
 	"sttsim/internal/campaign"
 	"sttsim/internal/explore"
 	"sttsim/internal/mem"
-	"sttsim/internal/sim"
+	"sttsim/internal/service"
 	"sttsim/internal/version"
-	"sttsim/internal/workload"
 	api "sttsim/pkg/sttsim"
 )
 
@@ -47,7 +46,7 @@ func run() int {
 	tech := flag.String("tech", "", "comma-separated tech-profile axis (empty = all registered: "+
 		strings.Join(mem.ProfileNames(), ", ")+")")
 	topo := flag.String("topo", "", "comma-separated topology axis as XxYxL shapes (empty = fixed 8x8x2)")
-	regions := flag.String("regions", "", "comma-separated region-count axis (4, 8, 16)")
+	regions := flag.String("regions", "", "comma-separated region-count axis (4, 8, 16; staggered TSBs)")
 	hops := flag.String("hops", "", "comma-separated re-ordering distance axis")
 	wbuf := flag.String("wbuf", "", "comma-separated write-buffer depth axis")
 	warmup := flag.Uint64("warmup", 0, "warmup cycles per evaluation (0 = default)")
@@ -76,26 +75,16 @@ func run() int {
 		return 2
 	}
 
-	var assignment workload.Assignment
-	switch *bench {
-	case "case1":
-		assignment = workload.Case1()
-	case "case2":
-		assignment = workload.Case2()
-	default:
-		prof, err := workload.ByName(*bench)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		assignment = workload.Homogeneous(prof)
-	}
-	base := sim.Config{
-		Scheme:        sim.SchemeSTT4TSBWB,
-		Assignment:    assignment,
+	base := api.JobSpec{
+		Scheme:        "wb",
+		Bench:         *bench,
 		Seed:          *seed,
 		WarmupCycles:  *warmup,
 		MeasureCycles: *measure,
+	}
+	if _, err := service.SpecConfig(base); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
 
 	var axes []explore.Axis
@@ -167,7 +156,7 @@ func run() int {
 			fmt.Fprintln(os.Stderr, cerr)
 			return 2
 		}
-		x.RunFunc = explore.RemoteRunFunc(client, *bench)
+		x.Remote = client
 	}
 
 	// SIGINT/SIGTERM drain the campaign gracefully: the journal keeps every

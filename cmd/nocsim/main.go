@@ -1,31 +1,47 @@
 // Command nocsim runs one simulation of the 64-core / 64-bank 3D CMP and
-// prints its performance, latency, traffic and energy report.
+// prints its performance, latency, traffic, energy and access-gap report.
+// The flags fill the same job spec sttsimd serves, so a run here and a
+// served job of the same spec are the same simulation. Fault-injection
+// campaigns, trace record/replay and observability ride on top.
 //
 // Usage:
 //
 //	nocsim -bench tpcc -scheme wb [-regions 8] [-stagger] [-hops 2]
 //	       [-tech sttram-rr10] [-topo 8x8x3]
 //	       [-warmup 20000] [-measure 60000] [-writebuf 0] [-plus1vc]
+//	       [-rate 1e-4] [-kill-tsbs 1] [-kill-cycle 1] [-max-retries 3]
+//	       [-audit 10000] [-deadlock]
+//	       [-record DIR [-record-n 200000] | -replay DIR]
 //	       [-trace out.jsonl [-decompose]] [-metrics-interval 1000 -metrics-out m.csv]
 //	       [-cpuprofile cpu.out] [-memprofile mem.out]
+//
+// Exit codes: 0 success, 1 run or I/O error, 2 bad flags or spec, 3 the run
+// failed with a structured *sim.RunError (deadlock, invariant violation),
+// whose in-flight packet dump is printed.
 package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"os"
+	"path/filepath"
 	"strings"
 
-	"sttsim/internal/core"
+	"sttsim/internal/cpu"
+	"sttsim/internal/fault"
 	"sttsim/internal/mem"
 	"sttsim/internal/noc"
 	"sttsim/internal/obs"
 	"sttsim/internal/prof"
+	"sttsim/internal/service"
 	"sttsim/internal/sim"
-	"sttsim/internal/stats"
+	"sttsim/internal/trace"
 	"sttsim/internal/version"
 	"sttsim/internal/workload"
+	api "sttsim/pkg/sttsim"
 )
 
 // jsonReport is the machine-readable shape of a run (-json flag).
@@ -49,13 +65,124 @@ type jsonReport struct {
 	ArbiterDelayDecisions uint64    `json:"arbiter_delay_decisions,omitempty"`
 }
 
-var schemeFlags = map[string]sim.Scheme{
-	"sram":  sim.SchemeSRAM64TSB,
-	"stt64": sim.SchemeSTT64TSB,
-	"stt4":  sim.SchemeSTT4TSB,
-	"ss":    sim.SchemeSTT4TSBSS,
-	"rca":   sim.SchemeSTT4TSBRCA,
-	"wb":    sim.SchemeSTT4TSBWB,
+// options is what the command line selects: the job spec, resolved by
+// service.SpecConfig exactly as sttsimd resolves a served one, plus the
+// settings that are not on the wire.
+type options struct {
+	spec api.JobSpec
+
+	// Fault campaign.
+	rate       float64
+	killTSBs   int
+	killCycle  uint64
+	maxRetries int
+	deadlock   bool
+
+	// Trace record and replay.
+	record  string
+	recordN uint64
+	replay  string
+
+	tracePath       string
+	traceFormat     string
+	decompose       bool
+	metricsInterval uint64
+	metricsOut      string
+	asJSON          bool
+	showVersion     bool
+	cpuprofile      string
+	memprofile      string
+}
+
+// deadlockWatchdog is the -deadlock run's watchdog window: short, so the
+// induced deadlock is reported within a few thousand cycles.
+const deadlockWatchdog = 2000
+
+// parseFlags reads the command line into options. A returned error is a
+// usage error; flag syntax errors exit 2 inside the flag package.
+func parseFlags(args []string) (*options, error) {
+	fset := flag.NewFlagSet("nocsim", flag.ExitOnError)
+	o := &options{}
+	s := &o.spec
+	fset.StringVar(&s.Bench, "bench", "tpcc", "benchmark name from Table 3, or case1/case2")
+	fset.StringVar(&s.Scheme, "scheme", "wb", "sram|stt64|stt4|ss|rca|wb, or the paper's name (e.g. STT-RAM-4TSB-WB)")
+	fset.StringVar(&s.TechProfile, "tech", "", "bank technology profile (empty = scheme default; registered: "+
+		strings.Join(mem.ProfileNames(), ", ")+")")
+	topoName := fset.String("topo", "", "mesh topology as XxYxL, e.g. 8x8x3 (empty = paper's 8x8x2)")
+	fset.IntVar(&s.Regions, "regions", 0, "cache-layer regions (4, 8, or 16; 0 = default 8)")
+	stagger := fset.Bool("stagger", true, "stagger TSB placement (vs corner)")
+	fset.IntVar(&s.Hops, "hops", 0, "parent-child re-ordering distance (0 = default 2)")
+	fset.Uint64Var(&s.WarmupCycles, "warmup", 0, "warmup cycles (0 = default)")
+	fset.Uint64Var(&s.MeasureCycles, "measure", 0, "measured cycles (0 = default)")
+	fset.Uint64Var(&s.Seed, "seed", 0, "workload seed (0 = default); fault draws derive from it")
+	fset.IntVar(&s.WriteBufferEntries, "writebuf", 0, "per-bank write-buffer entries (20 = BUFF-20)")
+	fset.BoolVar(&s.ReadPreemption, "preempt", false, "enable read preemption in the write buffer")
+	fset.BoolVar(&s.ExtraReqVC, "plus1vc", false, "grant the request class one extra VC")
+	fset.Uint64Var(&s.AuditInterval, "audit", 0, "run the network invariant audit every N cycles (0 = off)")
+	fset.Float64Var(&o.rate, "rate", 0, "raw STT-RAM write error rate (per array write)")
+	fset.IntVar(&o.killTSBs, "kill-tsbs", 0, "number of region TSBs to kill (regions 0..n-1)")
+	fset.Uint64Var(&o.killCycle, "kill-cycle", 1, "cycle the -kill-tsbs and -deadlock failures fire at")
+	fset.IntVar(&o.maxRetries, "max-retries", 0, "write retry bound (0 = default 3)")
+	fset.BoolVar(&o.deadlock, "deadlock", false, "induce a deadlock (kill a bank's local port) and print the structured failure")
+	fset.StringVar(&o.record, "record", "", "write each core's instruction stream to coreNN.trc files in this directory, then exit without simulating")
+	fset.Uint64Var(&o.recordN, "record-n", 200000, "instructions per core for -record")
+	fset.StringVar(&o.replay, "replay", "", "drive the cores from the streams recorded in this directory (the recording's bench and seed win)")
+	fset.BoolVar(&o.asJSON, "json", false, "emit the report as JSON")
+	fset.StringVar(&o.tracePath, "trace", "", "record packet-lifecycle events to this file (internal/obs)")
+	fset.StringVar(&o.traceFormat, "trace-format", "auto", "trace encoding: auto|jsonl|binary (auto: .jsonl extension means JSONL)")
+	fset.BoolVar(&o.decompose, "decompose", false, "after the run, reduce the -trace file into the latency-breakdown table")
+	fset.Uint64Var(&o.metricsInterval, "metrics-interval", 0, "sample time-series metrics every K cycles (0 = off; implied 1000 when -metrics-out is set)")
+	fset.StringVar(&o.metricsOut, "metrics-out", "", "write sampled metrics to this file (.jsonl extension means JSONL, else CSV)")
+	fset.BoolVar(&o.showVersion, "version", false, "print the build version and exit")
+	fset.StringVar(&o.cpuprofile, "cpuprofile", "", "write a CPU profile of the whole run to this file")
+	fset.StringVar(&o.memprofile, "memprofile", "", "write a heap profile (post-run snapshot) to this file")
+	fset.Parse(args) // ExitOnError: a bad flag exits 2 here
+
+	s.Corner = !*stagger
+	if *topoName != "" {
+		t, err := noc.ParseTopology(*topoName)
+		if err != nil {
+			return nil, err
+		}
+		s.MeshX, s.MeshY, s.Layers = t.MeshX, t.MeshY, t.Layers
+	}
+	if o.deadlock {
+		s.WatchdogCycles = deadlockWatchdog
+	}
+	switch o.traceFormat {
+	case "auto", "jsonl", "binary":
+	default:
+		return nil, fmt.Errorf("unknown -trace-format %q (want auto|jsonl|binary)", o.traceFormat)
+	}
+	if o.decompose && o.tracePath == "" {
+		return nil, errors.New("-decompose needs -trace to know where the events went")
+	}
+	if o.record != "" && o.replay != "" {
+		return nil, errors.New("-record and -replay are exclusive")
+	}
+	if o.metricsOut != "" && o.metricsInterval == 0 {
+		o.metricsInterval = 1000
+	}
+	return o, nil
+}
+
+// faultConfig is the campaign the fault flags describe; a campaign with
+// nothing enabled runs exactly like no campaign.
+func (o *options) faultConfig() *fault.Config {
+	fc := &fault.Config{WriteErrorRate: o.rate, MaxWriteRetries: o.maxRetries}
+	for k := 0; k < o.killTSBs; k++ {
+		fc.TSBFailures = append(fc.TSBFailures, fault.TSBFailure{Cycle: o.killCycle, Region: k})
+	}
+	if o.deadlock {
+		// Kill the ejection port of a mid-mesh cache bank: every demand
+		// request to that bank wedges at its router, the cores' windows fill
+		// on the never-completing loads, the system quiesces, and the
+		// watchdog fires.
+		fc.PortFaults = append(fc.PortFaults, fault.PortFault{
+			Cycle: o.killCycle, Node: noc.NodeID(noc.LayerSize + 27), Port: noc.PortLocal,
+		})
+	}
+	return fc
 }
 
 func main() {
@@ -65,37 +192,17 @@ func main() {
 // run executes one simulation and returns the process exit code. Factored
 // out of main so the profiler's deferred stop runs before os.Exit.
 func run() int {
-	bench := flag.String("bench", "tpcc", "benchmark name from Table 3, or case1/case2")
-	schemeName := flag.String("scheme", "wb", "sram|stt64|stt4|ss|rca|wb")
-	techName := flag.String("tech", "", "bank technology profile (empty = scheme default; registered: "+
-		strings.Join(mem.ProfileNames(), ", ")+")")
-	topoName := flag.String("topo", "", "mesh topology as XxYxL, e.g. 8x8x3 (empty = paper's 8x8x2)")
-	regions := flag.Int("regions", 0, "cache-layer regions (4, 8, or 16; 0 = default 8)")
-	stagger := flag.Bool("stagger", true, "stagger TSB placement (vs corner)")
-	hops := flag.Int("hops", 0, "parent-child re-ordering distance (0 = default 2)")
-	warmup := flag.Uint64("warmup", 0, "warmup cycles (0 = default)")
-	measure := flag.Uint64("measure", 0, "measured cycles (0 = default)")
-	seed := flag.Uint64("seed", 0, "workload seed (0 = default)")
-	writebuf := flag.Int("writebuf", 0, "per-bank write-buffer entries (20 = BUFF-20)")
-	preempt := flag.Bool("preempt", false, "enable read preemption in the write buffer")
-	plus1vc := flag.Bool("plus1vc", false, "grant the request class one extra VC")
-	asJSON := flag.Bool("json", false, "emit the report as JSON")
-	tracePath := flag.String("trace", "", "record packet-lifecycle events to this file (internal/obs)")
-	traceFormat := flag.String("trace-format", "auto", "trace encoding: auto|jsonl|binary (auto: .jsonl extension means JSONL)")
-	decompose := flag.Bool("decompose", false, "after the run, reduce the -trace file into the latency-breakdown table")
-	metricsInterval := flag.Uint64("metrics-interval", 0, "sample time-series metrics every K cycles (0 = off; implied 1000 when -metrics-out is set)")
-	metricsOut := flag.String("metrics-out", "", "write sampled metrics to this file (.jsonl extension means JSONL, else CSV)")
-	showVersion := flag.Bool("version", false, "print the build version and exit")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the whole run to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile (post-run snapshot) to this file")
-	flag.Parse()
-
-	if *showVersion {
+	o, err := parseFlags(os.Args[1:])
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nocsim:", err)
+		return 2
+	}
+	if o.showVersion {
 		fmt.Printf("nocsim %s\n", version.String())
 		return 0
 	}
 
-	stopProf, err := prof.Start(*cpuprofile, *memprofile)
+	stopProf, err := prof.Start(o.cpuprofile, o.memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -106,97 +213,58 @@ func run() int {
 		}
 	}()
 
-	scheme, ok := schemeFlags[strings.ToLower(*schemeName)]
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown scheme %q (want sram|stt64|stt4|ss|rca|wb)\n", *schemeName)
+	var traces []*trace.Trace
+	if o.replay != "" {
+		if traces, err = loadTraces(o.replay); err != nil {
+			fmt.Fprintln(os.Stderr, "replay:", err)
+			return 1
+		}
+		o.spec.Bench, o.spec.Seed = traces[0].Meta.Name, traces[0].Meta.Seed
+	}
+	cfg, err := service.SpecConfig(o.spec)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "nocsim:", err)
 		return 2
 	}
+	cfg.Fault = o.faultConfig()
 
-	var assignment workload.Assignment
-	switch *bench {
-	case "case1":
-		assignment = workload.Case1()
-	case "case2":
-		assignment = workload.Case2()
-	default:
-		prof, err := workload.ByName(*bench)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
+	if o.record != "" {
+		if err := record(cfg, o.recordN, o.record); err != nil {
+			fmt.Fprintln(os.Stderr, "record:", err)
+			return 1
+		}
+		return 0
+	}
+	if traces != nil {
+		if cores := cfg.Topology().NumCores(); cores != len(traces) {
+			fmt.Fprintf(os.Stderr, "replay: %s holds %d core traces, the %s topology has %d cores\n",
+				o.replay, len(traces), cfg.Topology(), cores)
 			return 2
 		}
-		assignment = workload.Homogeneous(prof)
-	}
-
-	placement := core.PlacementCorner
-	if *stagger {
-		placement = core.PlacementStagger
-	}
-
-	var topoShape noc.Topology
-	if *topoName != "" {
-		t, terr := noc.ParseTopology(*topoName)
-		if terr != nil {
-			fmt.Fprintln(os.Stderr, terr)
-			return 2
-		}
-		topoShape = t
-	}
-
-	if *techName != "" {
-		if _, ok := mem.LookupProfile(*techName); !ok {
-			fmt.Fprintf(os.Stderr, "unknown tech profile %q (registered: %s)\n",
-				*techName, strings.Join(mem.ProfileNames(), ", "))
-			return 2
+		cfg.GeneratorFactory = func(core int, _ workload.Profile, _ float64) cpu.Generator {
+			return trace.NewPlayer(traces[core])
 		}
 	}
 
-	if *decompose && *tracePath == "" {
-		fmt.Fprintln(os.Stderr, "-decompose needs -trace to know where the events went")
-		return 2
-	}
-	if *metricsOut != "" && *metricsInterval == 0 {
-		*metricsInterval = 1000
-	}
-	var obsCfg *sim.ObsConfig
 	var sink obs.Sink
-	if *tracePath != "" || *metricsInterval > 0 {
-		obsCfg = &sim.ObsConfig{MetricsInterval: *metricsInterval}
-		if *tracePath != "" {
-			f, err := os.Create(*tracePath)
+	if o.tracePath != "" || o.metricsInterval > 0 {
+		cfg.Obs = &sim.ObsConfig{MetricsInterval: o.metricsInterval}
+		if o.tracePath != "" {
+			f, err := os.Create(o.tracePath)
 			if err != nil {
 				fmt.Fprintln(os.Stderr, err)
 				return 1
 			}
-			binary := *traceFormat == "binary" ||
-				(*traceFormat == "auto" && !strings.HasSuffix(*tracePath, ".jsonl"))
-			if binary {
+			if o.traceFormat == "binary" || (o.traceFormat == "auto" && !strings.HasSuffix(o.tracePath, ".jsonl")) {
 				sink = obs.NewBinarySink(f)
 			} else {
 				sink = obs.NewJSONLSink(f)
 			}
-			obsCfg.Sink = sink
+			cfg.Obs.Sink = sink
 		}
 	}
 
-	res, rerr := sim.Run(sim.Config{
-		Scheme:             scheme,
-		TechProfile:        *techName,
-		MeshX:              topoShape.MeshX,
-		MeshY:              topoShape.MeshY,
-		Layers:             topoShape.Layers,
-		Assignment:         assignment,
-		Seed:               *seed,
-		WarmupCycles:       *warmup,
-		MeasureCycles:      *measure,
-		Regions:            *regions,
-		Placement:          placement,
-		PlacementSet:       true,
-		Hops:               *hops,
-		WriteBufferEntries: *writebuf,
-		ReadPreemption:     *preempt,
-		ExtraReqVC:         *plus1vc,
-		Obs:                obsCfg,
-	})
+	res, rerr := sim.Run(cfg)
 	if sink != nil {
 		// Flush buffered events before reporting (and before -decompose
 		// reads the file back).
@@ -206,17 +274,22 @@ func run() int {
 		}
 	}
 	if rerr != nil {
+		var re *sim.RunError
+		if errors.As(rerr, &re) {
+			printRunError(re)
+			return 3
+		}
 		fmt.Fprintln(os.Stderr, rerr)
 		return 1
 	}
-	if *metricsOut != "" && res.Metrics != nil {
-		if werr := writeMetrics(*metricsOut, res.Metrics); werr != nil {
+	if o.metricsOut != "" && res.Metrics != nil {
+		if werr := res.Metrics.WriteFile(o.metricsOut); werr != nil {
 			fmt.Fprintln(os.Stderr, "metrics:", werr)
 			return 1
 		}
 	}
 
-	if *asJSON {
+	if o.asJSON {
 		rep := jsonReport{
 			Scheme:                res.Config.Scheme.String(),
 			Workload:              res.Config.Assignment.Name,
@@ -249,6 +322,10 @@ func run() int {
 
 	fmt.Printf("scheme            %s\n", res.Config.Scheme)
 	fmt.Printf("workload          %s\n", res.Config.Assignment.Name)
+	if traces != nil {
+		fmt.Printf("replayed traces   %s (%d cores x %d instructions, seed %#x)\n",
+			o.replay, len(traces), traces[0].Len(), traces[0].Meta.Seed)
+	}
 	fmt.Printf("measured cycles   %d\n", res.Cycles)
 	fmt.Printf("instr throughput  %.3f (sum of per-core IPC)\n", res.InstructionThroughput)
 	fmt.Printf("slowest core IPC  %.4f\n", res.MinIPC)
@@ -266,31 +343,101 @@ func run() int {
 		fmt.Printf("arbiter           %d delay decisions, %d reads + %d writes via parents\n",
 			res.Arbiter.DelayDecisions, res.Arbiter.ForwardedReads, res.Arbiter.ForwardedWrites)
 	}
-	if *decompose {
-		if derr := runDecompose(*tracePath); derr != nil {
+	// The digest line sttsimd stores with a finished job.
+	fmt.Println(res.Summary())
+	if res.Fault != nil {
+		fmt.Printf("degradation: %s\n", res.Fault)
+	}
+	fmt.Println("\naccess-after-write gap distribution")
+	fmt.Print(res.GapHist.String())
+	fmt.Printf("buffered 2-hop requests per occupied router: %.2f\n", res.HopReqs[2])
+	if o.decompose {
+		if derr := runDecompose(o.tracePath); derr != nil {
 			fmt.Fprintln(os.Stderr, "decompose:", derr)
 			return 1
 		}
 	}
-	_ = noc.NumNodes
 	return 0
 }
 
-// writeMetrics exports the sampled time series (CSV, or JSONL for .jsonl).
-func writeMetrics(path string, ml *stats.MetricsLog) error {
-	f, err := os.Create(path)
-	if err != nil {
+// printRunError renders the structured failure: headline, audit verdict, and
+// the in-flight packet dump (first 20 packets).
+func printRunError(re *sim.RunError) {
+	fmt.Printf("RUN FAILED: %s/%s at cycle %d\n", re.Scheme, re.Benchmark, re.Cycle)
+	fmt.Printf("  cause: %v\n", re.Err)
+	if re.Invariant != nil {
+		fmt.Printf("  invariant audit: %v\n", re.Invariant)
+	}
+	fmt.Printf("  %d packets in flight:\n", len(re.Packets))
+	const max = 20
+	for i, p := range re.Packets {
+		if i == max {
+			fmt.Printf("    ... and %d more\n", len(re.Packets)-max)
+			break
+		}
+		fmt.Printf("    %s\n", p.String())
+	}
+}
+
+func tracePath(dir string, core int) string {
+	return filepath.Join(dir, fmt.Sprintf("core%02d.trc", core))
+}
+
+// record writes n instructions of each core's stream — the stream the
+// configured run generates — to one trace file per core in dir.
+func record(cfg sim.Config, n uint64, dir string) error {
+	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if strings.HasSuffix(path, ".jsonl") {
-		err = ml.WriteJSONL(f)
-	} else {
-		err = ml.WriteCSV(f)
+	seed := cfg.Seed
+	if seed == 0 {
+		seed = sim.DefaultSeed
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	topo := cfg.Topology()
+	a := cfg.Assignment
+	var total int64
+	for core := 0; core < topo.NumCores(); core++ {
+		p := a.Profiles[core%len(a.Profiles)]
+		gen := workload.NewGeneratorBanks(p, core, a.Mode, seed, sim.MissRatioFor(p, cfg.BankTech()), topo.NumBanks())
+		f, err := os.Create(tracePath(dir, core))
+		if err != nil {
+			return err
+		}
+		if err := trace.Record(gen, n, f, trace.Meta{Name: a.Name, Core: core, Seed: seed}); err != nil {
+			f.Close()
+			return err
+		}
+		if st, err := f.Stat(); err == nil {
+			total += st.Size()
+		}
+		if err := f.Close(); err != nil {
+			return err
+		}
 	}
-	return err
+	fmt.Printf("recorded %d instructions x %d cores of %s into %s (%.1f MB)\n",
+		n, topo.NumCores(), a.Name, dir, float64(total)/1e6)
+	return nil
+}
+
+// loadTraces reads core00.trc, core01.trc, ... from dir up to the first
+// missing file.
+func loadTraces(dir string) ([]*trace.Trace, error) {
+	var traces []*trace.Trace
+	for core := 0; ; core++ {
+		f, err := os.Open(tracePath(dir, core))
+		if errors.Is(err, fs.ErrNotExist) && core > 0 {
+			return traces, nil
+		}
+		if err != nil {
+			return nil, err
+		}
+		t, err := trace.Load(f)
+		f.Close()
+		if err != nil {
+			return nil, fmt.Errorf("core %d: %w", core, err)
+		}
+		traces = append(traces, t)
+	}
 }
 
 // runDecompose reduces a recorded trace into the paper-style latency

@@ -3,13 +3,15 @@ package explore
 import (
 	"bytes"
 	"context"
+	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"sttsim/internal/campaign"
-	"sttsim/internal/sim"
-	"sttsim/internal/workload"
+	"sttsim/internal/service"
+	api "sttsim/pkg/sttsim"
 )
 
 // smallSpace is a real three-axis space kept tiny enough for unit tests:
@@ -28,10 +30,11 @@ func smallSpace(t *testing.T, measure uint64) *Space {
 	if err != nil {
 		t.Fatal(err)
 	}
-	base := sim.Config{
-		Scheme:        sim.SchemeSTT4TSBWB,
-		Assignment:    workload.Case1(),
+	base := api.JobSpec{
+		Scheme:        "wb",
+		Bench:         "case1",
 		Regions:       4,
+		Corner:        true,
 		WarmupCycles:  200,
 		MeasureCycles: measure,
 		Seed:          7,
@@ -216,6 +219,60 @@ func TestExplorerOutputsWrite(t *testing.T) {
 		fi, err := os.Stat(filepath.Join(dir, name))
 		if err != nil || fi.Size() == 0 {
 			t.Fatalf("artifact %s missing or empty (err=%v)", name, err)
+		}
+	}
+}
+
+// TestExplorerRemoteMatchesInProcess: evaluating against a live server (the
+// explore -server path) writes the in-process run's pareto.jsonl bytes and
+// evaluation fingerprints.
+func TestExplorerRemoteMatchesInProcess(t *testing.T) {
+	if testing.Short() {
+		t.Skip("two simulation sweeps")
+	}
+	eng := campaign.New(campaign.Policy{Jobs: 2})
+	srv, err := service.NewServer(service.Options{Engine: eng, Version: "test"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		eng.Interrupt()
+		eng.Drain()
+	})
+	client, err := api.New(ts.URL, api.WithPollInterval(5*time.Millisecond))
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	render := func(remote *api.Client) ([]byte, *Report) {
+		rep := runExplorer(t, &Explorer{
+			Space:    smallSpace(t, 2000),
+			Strategy: Grid{},
+			Policy:   campaign.Policy{Jobs: 2},
+			Remote:   remote,
+		})
+		var buf bytes.Buffer
+		if err := rep.WritePareto(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), rep
+	}
+	local, localRep := render(nil)
+	remote, remoteRep := render(client)
+	if got := eng.Stats().Executed; got != 8 {
+		t.Fatalf("server executed %d run(s), want all 8 points", got)
+	}
+	if !bytes.Equal(local, remote) {
+		t.Fatalf("pareto.jsonl differs between in-process and remote evaluation:\n--- local\n%s--- remote\n%s", local, remote)
+	}
+	if len(localRep.Evaluations) != 8 || len(remoteRep.Evaluations) != 8 {
+		t.Fatalf("evaluated %d local / %d remote points, want 8", len(localRep.Evaluations), len(remoteRep.Evaluations))
+	}
+	for i, e := range localRep.Evaluations {
+		if r := remoteRep.Evaluations[i]; r.ID != e.ID || r.Fingerprint != e.Fingerprint {
+			t.Fatalf("evaluation %d: remote %s/%s, local %s/%s", i, r.ID, r.Fingerprint, e.ID, e.Fingerprint)
 		}
 	}
 }

@@ -17,19 +17,18 @@ import (
 
 	"sttsim/internal/mem"
 	"sttsim/internal/noc"
+	"sttsim/internal/service"
 	"sttsim/internal/sim"
 	api "sttsim/pkg/sttsim"
 )
 
-// Axis is one sweep dimension: a named, ordered list of values and the rule
-// for binding a value into a sim.Config (and, when the axis is expressible on
-// the wire, into a service JobSpec for remote evaluation).
+// Axis is one sweep dimension: a named, ordered list of values and the
+// setter that binds a value into a job spec.
 type Axis struct {
 	Name   string
 	Values []string
 
-	apply func(*sim.Config, string) error
-	spec  func(*api.JobSpec, string) error // nil: local-only axis
+	set func(*api.JobSpec, string)
 }
 
 // TechAxis sweeps registered technology profiles. With no arguments it
@@ -44,19 +43,7 @@ func TechAxis(names ...string) (Axis, error) {
 				n, strings.Join(mem.ProfileNames(), ", "))
 		}
 	}
-	return Axis{
-		Name:   "tech",
-		Values: names,
-		apply: func(c *sim.Config, v string) error {
-			c.TechProfile = v
-			c.CustomTech = nil
-			return nil
-		},
-		spec: func(s *api.JobSpec, v string) error {
-			s.TechProfile = v
-			return nil
-		},
-	}, nil
+	return Axis{Name: "tech", Values: names, set: func(s *api.JobSpec, v string) { s.TechProfile = v }}, nil
 }
 
 // TopoAxis sweeps network shapes given as "XxYxL" strings (e.g. "8x8x2").
@@ -72,82 +59,42 @@ func TopoAxis(shapes ...string) (Axis, error) {
 		}
 		canon[i] = t.String()
 	}
-	return Axis{
-		Name:   "topo",
-		Values: canon,
-		apply: func(c *sim.Config, v string) error {
-			t, err := noc.ParseTopology(v)
-			if err != nil {
-				return err
-			}
-			c.MeshX, c.MeshY, c.Layers = t.MeshX, t.MeshY, t.Layers
-			return nil
-		},
-		spec: func(s *api.JobSpec, v string) error {
-			t, err := noc.ParseTopology(v)
-			if err != nil {
-				return err
-			}
-			s.MeshX, s.MeshY, s.Layers = t.MeshX, t.MeshY, t.Layers
-			return nil
-		},
-	}, nil
+	return Axis{Name: "topo", Values: canon, set: func(s *api.JobSpec, v string) {
+		t, _ := noc.ParseTopology(v) // v is one of canon
+		s.MeshX, s.MeshY, s.Layers = t.MeshX, t.MeshY, t.Layers
+	}}, nil
 }
 
-// schemesByName accepts the CLI spellings used across the drivers.
-var schemesByName = map[string]sim.Scheme{
-	"sram": sim.SchemeSRAM64TSB, "stt64": sim.SchemeSTT64TSB,
-	"stt4": sim.SchemeSTT4TSB, "ss": sim.SchemeSTT4TSBSS,
-	"rca": sim.SchemeSTT4TSBRCA, "wb": sim.SchemeSTT4TSBWB,
-}
-
-// SchemeAxis sweeps design schemes by their CLI names
-// (sram|stt64|stt4|ss|rca|wb).
+// SchemeAxis sweeps design schemes by any name sim.ParseScheme accepts
+// (sram|stt64|stt4|ss|rca|wb, or the paper's names).
 func SchemeAxis(names ...string) (Axis, error) {
 	if len(names) == 0 {
 		return Axis{}, fmt.Errorf("explore: scheme axis needs at least one scheme")
 	}
 	for _, n := range names {
-		if _, ok := schemesByName[n]; !ok {
-			return Axis{}, fmt.Errorf("explore: unknown scheme %q (want sram|stt64|stt4|ss|rca|wb)", n)
+		if _, err := sim.ParseScheme(n); err != nil {
+			return Axis{}, fmt.Errorf("explore: %w", err)
 		}
 	}
-	return Axis{
-		Name:   "scheme",
-		Values: names,
-		apply: func(c *sim.Config, v string) error {
-			c.Scheme = schemesByName[v]
-			return nil
-		},
-		spec: func(s *api.JobSpec, v string) error {
-			s.Scheme = v
-			return nil
-		},
-	}, nil
+	return Axis{Name: "scheme", Values: names, set: func(s *api.JobSpec, v string) { s.Scheme = v }}, nil
 }
 
 // RegionsAxis sweeps the region count (4, 8, or 16).
 func RegionsAxis(counts ...int) (Axis, error) {
-	return intAxis("regions", counts,
-		func(c *sim.Config, n int) { c.Regions = n },
-		func(s *api.JobSpec, n int) { s.Regions = n })
+	return intAxis("regions", counts, func(s *api.JobSpec, n int) { s.Regions = n })
 }
 
 // HopsAxis sweeps the parent-child re-ordering distance.
 func HopsAxis(counts ...int) (Axis, error) {
-	return intAxis("hops", counts,
-		func(c *sim.Config, n int) { c.Hops = n },
-		func(s *api.JobSpec, n int) { s.Hops = n })
+	return intAxis("hops", counts, func(s *api.JobSpec, n int) { s.Hops = n })
 }
 
 // WriteBufferAxis sweeps the per-bank write-buffer depth (0 disables).
 func WriteBufferAxis(entries ...int) (Axis, error) {
-	return intAxis("wbuf", entries,
-		func(c *sim.Config, n int) { c.WriteBufferEntries = n },
-		func(s *api.JobSpec, n int) { s.WriteBufferEntries = n })
+	return intAxis("wbuf", entries, func(s *api.JobSpec, n int) { s.WriteBufferEntries = n })
 }
 
-func intAxis(name string, vals []int, set func(*sim.Config, int), setSpec func(*api.JobSpec, int)) (Axis, error) {
+func intAxis(name string, vals []int, set func(*api.JobSpec, int)) (Axis, error) {
 	if len(vals) == 0 {
 		return Axis{}, fmt.Errorf("explore: %s axis needs at least one value", name)
 	}
@@ -155,26 +102,10 @@ func intAxis(name string, vals []int, set func(*sim.Config, int), setSpec func(*
 	for i, v := range vals {
 		strs[i] = strconv.Itoa(v)
 	}
-	return Axis{
-		Name:   name,
-		Values: strs,
-		apply: func(c *sim.Config, v string) error {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return fmt.Errorf("explore: %s axis value %q: %w", name, v, err)
-			}
-			set(c, n)
-			return nil
-		},
-		spec: func(s *api.JobSpec, v string) error {
-			n, err := strconv.Atoi(v)
-			if err != nil {
-				return err
-			}
-			setSpec(s, n)
-			return nil
-		},
-	}, nil
+	return Axis{Name: name, Values: strs, set: func(s *api.JobSpec, v string) {
+		n, _ := strconv.Atoi(v) // v is one of strs
+		set(s, n)
+	}}, nil
 }
 
 // Point is one coordinate of the space: a value per axis, in axis order.
@@ -183,22 +114,22 @@ type Point struct {
 	ID     string // canonical "axis=value,..." rendering
 }
 
-// Space is a parameter space over a base configuration: the cartesian product
-// of its axes, minus the points the simulator's own validation rejects.
+// Space is a parameter space over a base job spec: the cartesian product of
+// its axes, minus the points service.SpecConfig rejects.
 type Space struct {
 	// Base carries everything the axes do not touch: workload, cycles, seed.
-	Base sim.Config
+	Base api.JobSpec
 	Axes []Axis
 }
 
-// NewSpace validates the axes (non-empty, unique names) over a base config.
-func NewSpace(base sim.Config, axes ...Axis) (*Space, error) {
+// NewSpace validates the axes (non-empty, unique names) over a base spec.
+func NewSpace(base api.JobSpec, axes ...Axis) (*Space, error) {
 	if len(axes) == 0 {
 		return nil, fmt.Errorf("explore: a space needs at least one axis")
 	}
 	seen := map[string]bool{}
 	for _, a := range axes {
-		if a.Name == "" || len(a.Values) == 0 || a.apply == nil {
+		if a.Name == "" || len(a.Values) == 0 || a.set == nil {
 			return nil, fmt.Errorf("explore: malformed axis %q", a.Name)
 		}
 		if seen[a.Name] {
@@ -234,36 +165,26 @@ func (s *Space) pointID(vals []string) string {
 	return strings.Join(parts, ",")
 }
 
-// Config binds a point into a full runnable configuration and validates it.
-func (s *Space) Config(p Point) (sim.Config, error) {
+// spec binds a point into the base spec.
+func (s *Space) spec(p Point) (api.JobSpec, error) {
 	if len(p.Values) != len(s.Axes) {
-		return sim.Config{}, fmt.Errorf("explore: point %q has %d values for %d axes", p.ID, len(p.Values), len(s.Axes))
+		return api.JobSpec{}, fmt.Errorf("explore: point %q has %d values for %d axes", p.ID, len(p.Values), len(s.Axes))
 	}
-	cfg := s.Base
+	spec := s.Base
 	for i, a := range s.Axes {
-		if err := a.apply(&cfg, p.Values[i]); err != nil {
-			return sim.Config{}, err
-		}
-	}
-	if err := cfg.Validate(); err != nil {
-		return sim.Config{}, err
-	}
-	return cfg, nil
-}
-
-// Spec binds a point into a service JobSpec over a base spec — the remote
-// twin of Config. It fails on axes that are not expressible on the wire.
-func (s *Space) Spec(base api.JobSpec, p Point) (api.JobSpec, error) {
-	spec := base
-	for i, a := range s.Axes {
-		if a.spec == nil {
-			return api.JobSpec{}, fmt.Errorf("explore: axis %q cannot be evaluated remotely", a.Name)
-		}
-		if err := a.spec(&spec, p.Values[i]); err != nil {
-			return api.JobSpec{}, err
-		}
+		a.set(&spec, p.Values[i])
 	}
 	return spec, nil
+}
+
+// Config binds a point into its spec and resolves it, through
+// service.SpecConfig, into a validated configuration.
+func (s *Space) Config(p Point) (sim.Config, error) {
+	spec, err := s.spec(p)
+	if err != nil {
+		return sim.Config{}, err
+	}
+	return service.SpecConfig(spec)
 }
 
 // Points enumerates every valid point in deterministic lexicographic axis

@@ -5,20 +5,14 @@ import (
 	"reflect"
 	"testing"
 
-	"sttsim/internal/sim"
-	"sttsim/internal/workload"
+	api "sttsim/pkg/sttsim"
 )
 
 // fakeSpace builds a small pure-synthetic space; the fake BatchFunc never
 // binds configs, so the base just has to validate.
 func fakeSpace(t *testing.T, axisSizes ...int) *Space {
 	t.Helper()
-	base := sim.Config{
-		Scheme:        sim.SchemeSTT4TSBWB,
-		Assignment:    workload.Case1(),
-		WarmupCycles:  100,
-		MeasureCycles: 8000,
-	}
+	base := api.JobSpec{Scheme: "wb", Bench: "case1", WarmupCycles: 100, MeasureCycles: 8000}
 	axes := make([]Axis, len(axisSizes))
 	names := []string{"alpha", "beta", "gamma"}
 	for i, n := range axisSizes {
@@ -29,7 +23,7 @@ func fakeSpace(t *testing.T, axisSizes ...int) *Space {
 		axes[i] = Axis{
 			Name:   names[i],
 			Values: vals,
-			apply:  func(*sim.Config, string) error { return nil },
+			set:    func(*api.JobSpec, string) {},
 		}
 	}
 	s, err := NewSpace(base, axes...)

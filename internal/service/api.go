@@ -20,6 +20,7 @@ import (
 	"strings"
 	"time"
 
+	"sttsim/internal/core"
 	"sttsim/internal/dist"
 	"sttsim/internal/sim"
 	"sttsim/internal/workload"
@@ -55,19 +56,6 @@ const (
 	StateCancelled = api.StateCancelled
 )
 
-// schemesByName accepts both the CLI spellings and the paper's names.
-var schemesByName = map[string]sim.Scheme{
-	"sram": sim.SchemeSRAM64TSB, "stt64": sim.SchemeSTT64TSB,
-	"stt4": sim.SchemeSTT4TSB, "ss": sim.SchemeSTT4TSBSS,
-	"rca": sim.SchemeSTT4TSBRCA, "wb": sim.SchemeSTT4TSBWB,
-}
-
-func init() {
-	for _, s := range sim.AllSchemes() {
-		schemesByName[strings.ToLower(s.String())] = s
-	}
-}
-
 var suitesByName = map[string]workload.Suite{
 	"":       workload.SuiteSPEC,
 	"spec":   workload.SuiteSPEC,
@@ -79,9 +67,9 @@ var suitesByName = map[string]workload.Suite{
 // is a client error (HTTP 400): the spec either named something unknown or
 // failed sim.Config.Validate's bounds.
 func SpecConfig(s JobSpec) (sim.Config, error) {
-	scheme, ok := schemesByName[strings.ToLower(s.Scheme)]
-	if !ok {
-		return sim.Config{}, fmt.Errorf("unknown scheme %q (want sram|stt64|stt4|ss|rca|wb)", s.Scheme)
+	scheme, err := sim.ParseScheme(s.Scheme)
+	if err != nil {
+		return sim.Config{}, err
 	}
 
 	var assignment workload.Assignment
@@ -148,9 +136,14 @@ func SpecConfig(s JobSpec) (sim.Config, error) {
 		MeshY:                 s.MeshY,
 		Layers:                s.Layers,
 	}
-	if s.Corner {
-		cfg.Placement = 0 // core.PlacementCorner
-		cfg.PlacementSet = true
+	// corner:false means staggered TSBs, but only an explicit region count
+	// pins the placement: a spec without regions keeps the simulator's
+	// default geometry (8 staggered regions) and its fingerprint.
+	switch {
+	case s.Corner:
+		cfg.Placement, cfg.PlacementSet = core.PlacementCorner, true
+	case s.Regions != 0:
+		cfg.Placement, cfg.PlacementSet = core.PlacementStagger, true
 	}
 	if err := cfg.Validate(); err != nil {
 		return sim.Config{}, err

@@ -7,6 +7,7 @@ package sim
 
 import (
 	"fmt"
+	"strings"
 
 	"sttsim/internal/core"
 	"sttsim/internal/cpu"
@@ -41,17 +42,36 @@ const (
 	NumSchemes
 )
 
-var schemeNames = [NumSchemes]string{
-	"SRAM-64TSB", "STT-RAM-64TSB", "STT-RAM-4TSB",
-	"STT-RAM-4TSB-SS", "STT-RAM-4TSB-RCA", "STT-RAM-4TSB-WB",
+// schemeNames is the one name table every entry point resolves schemes
+// through: the paper's name and the short spelling the CLIs, the wire API
+// (pkg/sttsim.Schemes mirrors the short column) and the explorer use.
+var schemeNames = [NumSchemes]struct{ paper, short string }{
+	{"SRAM-64TSB", "sram"}, {"STT-RAM-64TSB", "stt64"}, {"STT-RAM-4TSB", "stt4"},
+	{"STT-RAM-4TSB-SS", "ss"}, {"STT-RAM-4TSB-RCA", "rca"}, {"STT-RAM-4TSB-WB", "wb"},
 }
 
 // String returns the paper's name for the scheme.
 func (s Scheme) String() string {
 	if s >= 0 && s < NumSchemes {
-		return schemeNames[s]
+		return schemeNames[s].paper
 	}
 	return fmt.Sprintf("Scheme(%d)", int(s))
+}
+
+// ParseScheme resolves a scheme by its short spelling or its paper name,
+// case-insensitively: "wb", "WB" and "stt-ram-4tsb-wb" all name
+// SchemeSTT4TSBWB.
+func ParseScheme(name string) (Scheme, error) {
+	for s, n := range schemeNames {
+		if strings.EqualFold(name, n.short) || strings.EqualFold(name, n.paper) {
+			return Scheme(s), nil
+		}
+	}
+	short := make([]string, NumSchemes)
+	for s, n := range schemeNames {
+		short[s] = n.short
+	}
+	return 0, fmt.Errorf("unknown scheme %q (want %s, or the paper's name)", name, strings.Join(short, "|"))
 }
 
 // AllSchemes lists the six scenarios in the paper's order.
@@ -75,6 +95,9 @@ func (s Scheme) Restricted() bool { return s >= SchemeSTT4TSB }
 
 // Prioritized reports whether the bank-aware arbiter is active.
 func (s Scheme) Prioritized() bool { return s >= SchemeSTT4TSBSS }
+
+// DefaultSeed is the workload seed a Config with Seed 0 runs.
+const DefaultSeed = 0x5717AB
 
 // Config describes one simulation run.
 type Config struct {
@@ -181,7 +204,7 @@ type Config struct {
 
 	// AuditInterval, when nonzero, runs noc.CheckInvariants every
 	// AuditInterval cycles during the run; a violation aborts the run with a
-	// structured *RunError. DefaultAuditInterval (via cmd drivers) is 10000.
+	// structured *RunError.
 	AuditInterval uint64
 
 	// WatchdogCycles overrides the NoC deadlock watchdog window (0 = the
@@ -254,7 +277,7 @@ func (c Config) withDefaults() Config {
 		c.WBWindow = core.WBWindow
 	}
 	if c.Seed == 0 {
-		c.Seed = 0x5717AB
+		c.Seed = DefaultSeed
 	}
 	// A hybrid tech profile carries its SRAM split; an explicit
 	// HybridSRAMBanks wins over the profile's.

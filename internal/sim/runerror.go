@@ -66,7 +66,7 @@ type RunError struct {
 }
 
 // Error summarizes the failure; the full packet dump is available via the
-// Packets field (and rendered by cmd/faultcamp).
+// Packets field (and rendered by cmd/nocsim).
 func (e *RunError) Error() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "sim: %s/%s failed at cycle %d: %v",

@@ -4,15 +4,17 @@ package stats
 // are registered once at simulator construction, then Sample(now) snapshots
 // every probe into a fixed-capacity ring buffer every K cycles. The rings
 // bound memory for arbitrarily long runs; the exported MetricsLog is what
-// cmd/experiments and cmd/faultcamp write out as CSV/JSONL artifacts next to
-// the checkpoint journal.
+// cmd/nocsim and cmd/experiments write out as CSV/JSONL artifacts (WriteFile)
+// next to the checkpoint journal.
 
 import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 // DefaultSeriesCap is the default ring capacity: at the default 1000-cycle
@@ -252,4 +254,22 @@ func (m *MetricsLog) WriteJSONL(w io.Writer) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// WriteFile exports the log to path: JSONL when the name ends in .jsonl,
+// CSV otherwise.
+func (m *MetricsLog) WriteFile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if strings.HasSuffix(path, ".jsonl") {
+		err = m.WriteJSONL(f)
+	} else {
+		err = m.WriteCSV(f)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
