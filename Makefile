@@ -1,10 +1,12 @@
 # Tier-1 verification for sttsim. `make verify` is the gate every change must
-# pass: build, vet, unit tests, the race detector over the race-prone
-# packages (the full-system sim/exp tests are heavy under -race, so the race
-# pass covers the substrate packages where concurrency could plausibly
-# enter), the golden trace digests, and the performance guard.
+# pass: build, vet (with a gofmt check), unit tests, the race detector over
+# the race-prone packages (the full-system sim/exp tests are heavy under
+# -race, so the race pass covers the substrate packages where concurrency
+# could plausibly enter), the golden trace digests, and the performance
+# guard.
 
 GO ?= go
+GOFMT ?= gofmt
 
 .PHONY: all build vet test race bench-guard golden verify profile smoke serve-smoke explore-smoke functional loadtest dist-chaos chaos-sched
 
@@ -13,8 +15,11 @@ all: verify
 build:
 	$(GO) build ./...
 
+# vet also fails when gofmt would reformat any tracked Go file.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(git ls-files '*.go' | xargs -r $(GOFMT) -l); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:" >&2; echo "$$unformatted" >&2; exit 1; fi
 
 test:
 	$(GO) test ./...
@@ -37,10 +42,11 @@ bench-guard:
 
 # Golden-trace determinism regression: per-scheme binary traces must stay
 # byte-identical (digest match against internal/sim/testdata/), including
-# across concurrent replicas under the race detector. Re-baseline after a
-# deliberate timing change with: go test -tags golden -run TestGolden ./internal/sim -update
+# across concurrent replicas under the race detector. `make test` checks the
+# same digests without -race. Re-baseline after a deliberate timing change
+# with: go test -run TestGolden ./internal/sim -update
 golden:
-	$(GO) test -tags golden -run TestGolden -race ./internal/sim
+	$(GO) test -run TestGolden -race ./internal/sim
 
 verify: build vet test race golden bench-guard explore-smoke
 

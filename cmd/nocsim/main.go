@@ -166,20 +166,21 @@ func parseFlags(args []string) (*options, error) {
 	return o, nil
 }
 
-// faultConfig is the campaign the fault flags describe; a campaign with
-// nothing enabled runs exactly like no campaign.
-func (o *options) faultConfig() *fault.Config {
+// faultConfig is the campaign the fault flags describe over topo; a campaign
+// with nothing enabled runs exactly like no campaign.
+func (o *options) faultConfig(topo noc.Topology) *fault.Config {
 	fc := &fault.Config{WriteErrorRate: o.rate, MaxWriteRetries: o.maxRetries}
 	for k := 0; k < o.killTSBs; k++ {
 		fc.TSBFailures = append(fc.TSBFailures, fault.TSBFailure{Cycle: o.killCycle, Region: k})
 	}
 	if o.deadlock {
-		// Kill the ejection port of a mid-mesh cache bank: every demand
-		// request to that bank wedges at its router, the cores' windows fill
-		// on the never-completing loads, the system quiesces, and the
-		// watchdog fires.
+		// Kill the ejection port of the middle bank of the first cache layer
+		// (node 91 on the paper's 8x8x2): every demand request to that bank
+		// wedges at its router, the cores' windows fill on the
+		// never-completing loads, the system quiesces, and the watchdog
+		// fires.
 		fc.PortFaults = append(fc.PortFaults, fault.PortFault{
-			Cycle: o.killCycle, Node: noc.NodeID(noc.LayerSize + 27), Port: noc.PortLocal,
+			Cycle: o.killCycle, Node: topo.NodeAt(1, (topo.MeshX-1)/2, (topo.MeshY-1)/2), Port: noc.PortLocal,
 		})
 	}
 	return fc
@@ -226,7 +227,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "nocsim:", err)
 		return 2
 	}
-	cfg.Fault = o.faultConfig()
+	cfg.Fault = o.faultConfig(cfg.Topology())
 
 	if o.record != "" {
 		if err := record(cfg, o.recordN, o.record); err != nil {

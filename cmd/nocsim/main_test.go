@@ -72,6 +72,9 @@ func TestExitCodes(t *testing.T) {
 		{"unknown scheme", []string{"-scheme", "dram"}, 2, `unknown scheme "dram"`},
 		{"unknown trace format", []string{"-trace-format", "xml"}, 2, `unknown -trace-format "xml"`},
 		{"induced deadlock", []string{"-deadlock", "-warmup", "1000", "-measure", "8000"}, 3, "RUN FAILED"},
+		// The victim bank comes from the run's topology, so a small mesh
+		// deadlocks too instead of faulting a node it does not have.
+		{"induced deadlock 4x4x2", []string{"-topo", "4x4x2", "-deadlock", "-warmup", "1000", "-measure", "8000"}, 3, "deadlock watchdog"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -10,7 +10,6 @@ import (
 	"log"
 	"os"
 
-	"sttsim/internal/noc"
 	"sttsim/internal/sim"
 	"sttsim/internal/stats"
 	"sttsim/internal/workload"
@@ -28,9 +27,10 @@ func main() {
 		log.Fatal(err)
 	}
 
-	writes := make([]float64, noc.LayerSize)
-	busy := make([]float64, noc.LayerSize)
-	queued := make([]float64, noc.LayerSize)
+	topo := res.Config.Topology()
+	writes := make([]float64, topo.NumBanks())
+	busy := make([]float64, topo.NumBanks())
+	queued := make([]float64, topo.NumBanks())
 	for i, b := range res.BankStats {
 		writes[i] = float64(b.Writes)
 		busy[i] = float64(b.BusyCycles) / float64(res.Cycles)
@@ -38,9 +38,9 @@ func main() {
 	}
 
 	fmt.Printf("%s on %s, %d cycles\n\n", prof.Name, res.Config.Scheme, res.Cycles)
-	stats.Heatmap(os.Stdout, "bank writes", writes, noc.MeshDim)
+	stats.Heatmap(os.Stdout, "bank writes", writes, topo.MeshX)
 	fmt.Println()
-	stats.Heatmap(os.Stdout, "bank busy fraction", busy, noc.MeshDim)
+	stats.Heatmap(os.Stdout, "bank busy fraction", busy, topo.MeshX)
 	fmt.Println()
-	stats.Heatmap(os.Stdout, "bank queued cycles", queued, noc.MeshDim)
+	stats.Heatmap(os.Stdout, "bank queued cycles", queued, topo.MeshX)
 }

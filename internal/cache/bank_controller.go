@@ -2,6 +2,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"sttsim/internal/mem"
 	"sttsim/internal/noc"
@@ -114,8 +115,15 @@ type BankController struct {
 	// The tag store: tag words plus, per way in parallel arrays, the
 	// directory presence vector and the LRU stamp.
 	tagArray
-	sharers []uint64 // presence bit per core (directory vector)
+	sharers []uint64 // directory presence vector (see sharerBit)
 	lastUse []uint64 // LRU timestamp
+
+	// Presence-vector geometry: bit b of a sharers word covers the cores
+	// [b<<sharerShift, (b+1)<<sharerShift). sharerShift is 0 up to
+	// presenceBits cores, one bit per core; larger meshes share a bit among
+	// a group of cores.
+	numCores    int
+	sharerShift uint
 
 	mshrs    map[uint64]*mshr
 	mshrWait []pendingMiss // misses waiting for a free MSHR
@@ -161,7 +169,8 @@ type BankController struct {
 // (internal/fault) fails individual array writes. Implementations must be
 // deterministic for reproducible campaigns.
 type WriteFaultInjector interface {
-	// WriteFails reports whether this array write at bank (0..63) fails.
+	// WriteFails reports whether this array write at bank (0..NumBanks-1)
+	// fails.
 	WriteFails(bank int) bool
 }
 
@@ -178,14 +187,9 @@ type pendingMiss struct {
 	lineAddr uint64
 }
 
-// NewBankController builds the bank at the given cache-layer node using the
-// supplied timing model (plain or write-buffered, SRAM or STT-RAM).
-func NewBankController(node noc.NodeID, bank *mem.Bank) *BankController {
-	return NewBankControllerMapped(node, bank, DefaultAddrMap())
-}
-
-// NewBankControllerMapped builds the bank using an explicit topology address
-// map (non-default shapes).
+// NewBankControllerMapped builds the bank at the given cache-layer node of
+// am's topology using the supplied timing model (plain or write-buffered,
+// SRAM or STT-RAM), with an empty tag array.
 func NewBankControllerMapped(node noc.NodeID, bank *mem.Bank, am *AddrMap) *BankController {
 	return NewBankControllerTags(node, bank, am, nil)
 }
@@ -195,10 +199,8 @@ func NewBankControllerMapped(node noc.NodeID, bank *mem.Bank, am *AddrMap) *Bank
 // one. The controller owns tags from here on and writes to them; nil starts
 // with an empty tag array.
 func NewBankControllerTags(node noc.NodeID, bank *mem.Bank, am *AddrMap, tags []uint64) *BankController {
-	if am == nil {
-		am = DefaultAddrMap()
-	}
-	if am.Topology().Layer(node) == 0 {
+	topo := am.Topology()
+	if topo.Layer(node) == 0 {
 		panic(fmt.Sprintf("cache: bank controller node %d is not in a cache layer", node))
 	}
 	numSets := SetsFor(bank.Tech().CapacityMB)
@@ -208,16 +210,33 @@ func NewBankControllerTags(node noc.NodeID, bank *mem.Bank, am *AddrMap, tags []
 	} else if len(tags) != ways {
 		panic(fmt.Sprintf("cache: bank %d given %d tag words, its capacity needs %d", node, len(tags), ways))
 	}
-	return &BankController{
+	bc := &BankController{
 		node:        node,
 		bank:        bank,
 		tagArray:    tagArray{am: am, numSets: numSets, tags: tags},
 		sharers:     make([]uint64, ways),
 		lastUse:     make([]uint64, ways),
+		numCores:    topo.NumCores(),
 		mshrs:       make(map[uint64]*mshr),
 		fillSharers: make(map[uint64]uint64),
 		meta:        make(map[uint64]reqMeta),
 	}
+	for (bc.numCores-1)>>bc.sharerShift >= presenceBits {
+		bc.sharerShift++
+	}
+	return bc
+}
+
+// presenceBits is the width of one way's directory presence vector.
+const presenceBits = 64
+
+// sharerBit returns the presence bit covering core, or 0 for a requester
+// that is not a core (Proc -1).
+func (bc *BankController) sharerBit(core int) uint64 {
+	if core < 0 || core >= bc.numCores {
+		return 0
+	}
+	return 1 << uint(core>>bc.sharerShift)
 }
 
 // Node returns the controller's cache-layer node.
@@ -443,9 +462,7 @@ func (bc *BankController) finishRead(m reqMeta, c *mem.Completion, now uint64) {
 	if w := bc.lookup(la); w >= 0 {
 		bc.stats.ReadHits++
 		bc.lastUse[w] = now
-		if m.core >= 0 && m.core < 64 {
-			bc.sharers[w] |= 1 << uint(m.core)
-		}
+		bc.sharers[w] |= bc.sharerBit(m.core)
 		bc.send(bc.pkt(noc.Packet{
 			Kind: noc.KindReadResp, Src: bc.node, Dst: m.src,
 			Addr: m.addr, Proc: m.core,
@@ -551,7 +568,7 @@ func (bc *BankController) forwardFill(p *noc.Packet, now uint64) {
 		return // stale fill (e.g. the line was written while the miss was out)
 	}
 	delete(bc.mshrs, la)
-	bc.fillSharers[la] = sharersOf(msh.waiters)
+	bc.fillSharers[la] = bc.sharersOf(msh.waiters)
 	for _, w := range msh.waiters {
 		bc.send(bc.pkt(noc.Packet{
 			Kind: noc.KindReadResp, Src: bc.node, Dst: w.src,
@@ -571,14 +588,12 @@ func (bc *BankController) forwardFill(p *noc.Packet, now uint64) {
 }
 
 // sharersOf collects the presence bits of a waiter list.
-func sharersOf(ws []waiter) uint64 {
-	var bits uint64
+func (bc *BankController) sharersOf(ws []waiter) uint64 {
+	var vec uint64
 	for _, w := range ws {
-		if w.core >= 0 && w.core < 64 {
-			bits |= 1 << uint(w.core)
-		}
+		vec |= bc.sharerBit(w.core)
 	}
-	return bits
+	return vec
 }
 
 // finishFill handles the completed background array write of a fill:
@@ -648,22 +663,28 @@ func (bc *BankController) allocate(lineAddr uint64, now uint64) int {
 }
 
 // invalidateSharers sends an invalidation for the line in way w to every
-// sharer except the given core (-1 invalidates everyone).
+// core a set presence bit covers, in core order, except the given core (-1
+// invalidates everyone). Under a coarse vector that includes cores holding
+// no copy; they just ack.
 func (bc *BankController) invalidateSharers(w int, except int) {
 	sharers := bc.sharers[w]
 	if sharers == 0 {
 		return
 	}
 	addr := AddrOfLine(bc.tags[w] & tagAddr)
-	for core := 0; core < 64; core++ {
-		if core == except || sharers&(1<<uint(core)) == 0 {
-			continue
+	for ; sharers != 0; sharers &= sharers - 1 {
+		lo := bits.TrailingZeros64(sharers) << bc.sharerShift
+		hi := min(lo+1<<bc.sharerShift, bc.numCores)
+		for core := lo; core < hi; core++ {
+			if core == except {
+				continue
+			}
+			bc.stats.InvSent++
+			bc.send(bc.pkt(noc.Packet{
+				Kind: noc.KindInv, Src: bc.node, Dst: noc.NodeID(core),
+				Addr: addr, Proc: core,
+			}))
 		}
-		bc.stats.InvSent++
-		bc.send(bc.pkt(noc.Packet{
-			Kind: noc.KindInv, Src: bc.node, Dst: noc.NodeID(core),
-			Addr: addr, Proc: core,
-		}))
 	}
 }
 

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -8,6 +9,10 @@ import (
 	"sttsim/internal/noc"
 	"sttsim/internal/stats"
 )
+
+// paper is the address map of the paper's 8x8x2 system, which every test in
+// this package runs on unless it builds its own map.
+var paper = DefaultAddrMap()
 
 func TestAddressMapping(t *testing.T) {
 	if LineAddr(0x1000) != 0x1000>>LineShift {
@@ -17,44 +22,43 @@ func TestAddressMapping(t *testing.T) {
 		t.Fatal("AddrOfLine not inverse of LineAddr for aligned addresses")
 	}
 	// Consecutive lines stripe across banks.
-	b0 := HomeBank(AddrOfLine(100))
-	b1 := HomeBank(AddrOfLine(101))
-	if (b0+1)%NumBanks != b1 {
+	b0 := paper.HomeBank(AddrOfLine(100))
+	b1 := paper.HomeBank(AddrOfLine(101))
+	if (b0+1)%paper.NumBanks() != b1 {
 		t.Fatalf("banks not striped: %d then %d", b0, b1)
 	}
-	if HomeNode(AddrOfLine(100)) != noc.NodeID(b0)+noc.LayerSize {
+	if paper.HomeNode(AddrOfLine(100)) != noc.NodeID(b0)+64 {
 		t.Fatal("HomeNode disagrees with HomeBank")
 	}
 }
 
 func TestComposeAddr(t *testing.T) {
-	for bank := 0; bank < NumBanks; bank += 7 {
+	for bank := 0; bank < paper.NumBanks(); bank += 7 {
 		for line := uint64(0); line < 5; line++ {
-			addr := ComposeAddr(bank, line)
-			if HomeBank(addr) != bank {
-				t.Fatalf("ComposeAddr(%d, %d) landed in bank %d", bank, line, HomeBank(addr))
+			addr := paper.ComposeAddr(bank, line)
+			if got := paper.HomeBank(addr); got != bank {
+				t.Fatalf("ComposeAddr(%d, %d) landed in bank %d", bank, line, got)
 			}
 		}
 	}
 }
 
 func TestMCNodeInterleaving(t *testing.T) {
+	// Table 1: one memory controller at each corner node of the cache layer.
+	mcs := paper.MCNodeList()
+	if want := []noc.NodeID{64, 71, 120, 127}; !slices.Equal(mcs, want) {
+		t.Fatalf("memory controllers at %v, want %v", mcs, want)
+	}
 	seen := map[noc.NodeID]bool{}
 	for i := uint64(0); i < 1024; i++ {
-		n := MCNode(AddrOfLine(i * NumBanks))
+		n := paper.MCNode(AddrOfLine(i * uint64(paper.NumBanks())))
 		seen[n] = true
-		ok := false
-		for _, mc := range MCNodes {
-			if mc == n {
-				ok = true
-			}
-		}
-		if !ok {
+		if !slices.Contains(mcs, n) {
 			t.Fatalf("MCNode returned non-controller node %d", n)
 		}
 	}
-	if len(seen) != len(MCNodes) {
-		t.Fatalf("only %d of %d MCs used", len(seen), len(MCNodes))
+	if len(seen) != len(mcs) {
+		t.Fatalf("only %d of %d MCs used", len(seen), len(mcs))
 	}
 }
 
@@ -70,11 +74,11 @@ func TestSetsFor(t *testing.T) {
 // testBank builds a controller on bank 0 (node 64) with the given tech.
 func testBank(t *testing.T, tech mem.Tech) *BankController {
 	t.Helper()
-	return NewBankController(64, mem.NewBank(tech))
+	return NewBankControllerMapped(64, mem.NewBank(tech), paper)
 }
 
 // bankAddr returns an address homed at bank 0 with the given per-bank line.
-func bankAddr(line uint64) uint64 { return ComposeAddr(0, line) }
+func bankAddr(line uint64) uint64 { return paper.ComposeAddr(0, line) }
 
 // runUntil advances the controller until n packets have been emitted.
 func runUntil(t *testing.T, bc *BankController, now *uint64, n int) []*noc.Packet {
@@ -100,8 +104,8 @@ func TestReadMissFetchesFromMemory(t *testing.T) {
 	if pkts[0].Kind != noc.KindMemReq {
 		t.Fatalf("expected MemReq, got %s", pkts[0].Kind)
 	}
-	if pkts[0].Dst != MCNode(addr) {
-		t.Fatalf("MemReq to %d, want %d", pkts[0].Dst, MCNode(addr))
+	if pkts[0].Dst != paper.MCNode(addr) {
+		t.Fatalf("MemReq to %d, want %d", pkts[0].Dst, paper.MCNode(addr))
 	}
 	st := bc.Stats()
 	if st.ReadMisses != 1 || st.ReadHits != 0 {
@@ -241,6 +245,36 @@ func TestDirectoryInvalidatesSharers(t *testing.T) {
 	}
 }
 
+// TestDirectoryCoversEveryCore: on a 128-core mesh the presence vector is
+// coarse, one bit per pair of cores. A write still invalidates a reader above
+// core 63, and its pair-mate, but never the writer.
+func TestDirectoryCoversEveryCore(t *testing.T) {
+	am := NewAddrMap(noc.Topology{MeshX: 16, MeshY: 8, Layers: 2})
+	bc := NewBankControllerMapped(am.Topology().BankNode(0), mem.NewBank(mem.STTRAM), am)
+	var now uint64
+	invsAfter := func(reader, writer int) []noc.NodeID {
+		t.Helper()
+		addr := am.ComposeAddr(0, uint64(100+reader))
+		bc.Preload(LineAddr(addr))
+		bc.HandlePacket(&noc.Packet{Kind: noc.KindReadReq, Addr: addr, Proc: reader, Src: noc.NodeID(reader)}, now)
+		runUntil(t, bc, &now, 1)
+		bc.HandlePacket(&noc.Packet{Kind: noc.KindWriteReq, Addr: addr, Proc: writer, Src: noc.NodeID(writer)}, now)
+		var invs []noc.NodeID
+		for _, p := range runUntil(t, bc, &now, 1) {
+			if p.Kind == noc.KindInv {
+				invs = append(invs, p.Dst)
+			}
+		}
+		return invs
+	}
+	if got := invsAfter(100, 3); !slices.Equal(got, []noc.NodeID{100, 101}) {
+		t.Fatalf("core 3 writing a line core 100 read invalidated %v, want [100 101]", got)
+	}
+	if got := invsAfter(2, 3); !slices.Equal(got, []noc.NodeID{2}) {
+		t.Fatalf("core 3 writing a line core 2 read invalidated %v, want [2]", got)
+	}
+}
+
 func TestEvictionWritesBackDirtyVictim(t *testing.T) {
 	bc := testBank(t, mem.SRAM) // 512 sets: easier to collide
 	var now uint64
@@ -291,7 +325,7 @@ func TestBankControllerRejectsWrongLayer(t *testing.T) {
 			t.Fatal("expected panic for core-layer node")
 		}
 	}()
-	NewBankController(3, mem.NewBank(mem.SRAM))
+	NewBankControllerMapped(3, mem.NewBank(mem.SRAM), paper)
 }
 
 func TestBankControllerRejectsUnknownKind(t *testing.T) {

@@ -100,8 +100,8 @@ func TestTagImageMatchesPreloadBatch(t *testing.T) {
 	}
 	want := testBank(t, mem.SRAM)
 	want.PreloadBatch(lines)
-	img := NewTagImage(DefaultAddrMap(), mem.SRAM.CapacityMB, lines)
-	got := NewBankControllerTags(64, mem.NewBank(mem.SRAM), nil, img)
+	img := NewTagImage(paper, mem.SRAM.CapacityMB, lines)
+	got := NewBankControllerTags(64, mem.NewBank(mem.SRAM), paper, img)
 	for w := range want.tags {
 		if got.tags[w] != want.tags[w] {
 			t.Fatalf("way %d: image %#x, PreloadBatch %#x", w, got.tags[w], want.tags[w])

@@ -138,16 +138,6 @@ type WBEstimator struct {
 	AcksReceived uint64
 }
 
-// NewWBEstimator builds a WB estimator with the paper's N=100 window, sized
-// for the default topology.
-func NewWBEstimator() *WBEstimator { return NewWBEstimatorFor(WBWindow, noc.NumNodes) }
-
-// NewWBEstimatorWindow builds a WB estimator with a custom window, for
-// sensitivity studies, sized for the default topology.
-func NewWBEstimatorWindow(n int) *WBEstimator {
-	return NewWBEstimatorFor(n, noc.NumNodes)
-}
-
 // NewWBEstimatorFor builds a WB estimator with a custom window over a
 // numNodes-node topology.
 func NewWBEstimatorFor(window, numNodes int) *WBEstimator {

@@ -8,17 +8,17 @@ import (
 )
 
 func TestWBEstimatorDefaults(t *testing.T) {
-	e := NewWBEstimator()
+	e := NewWBEstimatorFor(WBWindow, paper.NumNodes())
 	if e.window != WBWindow {
 		t.Fatalf("default window = %d, want %d", e.window, WBWindow)
 	}
-	if NewWBEstimatorWindow(0).window != 1 {
+	if NewWBEstimatorFor(0, paper.NumNodes()).window != 1 {
 		t.Fatal("non-positive window should clamp to 1")
 	}
 }
 
 func TestWBEstimatorTagsEveryNth(t *testing.T) {
-	e := NewWBEstimatorWindow(4)
+	e := NewWBEstimatorFor(4, paper.NumNodes())
 	tagged := 0
 	for i := 0; i < 40; i++ {
 		p := &noc.Packet{Kind: noc.KindReadReq, Dst: 75}
@@ -40,7 +40,7 @@ func TestWBEstimatorTagsEveryNth(t *testing.T) {
 
 func TestRCAEstimatorQuantization(t *testing.T) {
 	l := mustLayout(t, 4, PlacementCorner)
-	routing, err := noc.NewRouting(noc.PathRegionTSBs, l.TSBMap())
+	routing, err := noc.NewRoutingTopo(paper, noc.PathRegionTSBs, l.TSBMap())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestRCAEstimatorQuantization(t *testing.T) {
 		e.Tick(now)
 	}
 	// All aggregates must be 8-bit quantized values in [0,1].
-	for id := noc.NodeID(0); id < noc.NumNodes; id++ {
+	for id := noc.NodeID(0); id < noc.NodeID(paper.NumNodes()); id++ {
 		v := e.agg[id]
 		if v < 0 || v > 1 {
 			t.Fatalf("aggregate out of range at %d: %f", id, v)
@@ -79,11 +79,11 @@ func TestParentChildrenCountsByHops(t *testing.T) {
 			total += kids
 			// Core-layer TSB parents absorb everything closer than H hops;
 			// only cache-layer parents obey the geometric bound.
-			if parent.Layer() == 1 && kids > maxKids {
+			if paper.Layer(parent) == 1 && kids > maxKids {
 				maxKids = kids
 			}
 		}
-		if total != noc.LayerSize {
+		if total != paper.NumBanks() {
 			t.Fatalf("hops=%d: %d children total, want 64", hops, total)
 		}
 		// On an X-Y route from the TSB, a router manages at most hops+1
@@ -105,13 +105,13 @@ func TestSixteenRegionParentsAreClose(t *testing.T) {
 	}
 	coreParents := 0
 	for _, parent := range pm.Parents() {
-		if parent.Layer() == 0 {
+		if paper.Layer(parent) == 0 {
 			coreParents += len(pm.Children(parent))
 		}
 	}
 	// With 2x2 regions, most banks sit closer than 2 hops to the TSB entry,
 	// so the core-layer TSB node manages the bulk of them.
-	if coreParents < noc.LayerSize/2 {
+	if coreParents < paper.NumBanks()/2 {
 		t.Fatalf("16 regions: only %d banks managed from the core layer; expected most", coreParents)
 	}
 }
@@ -126,14 +126,14 @@ func TestArbiterScopeProperty(t *testing.T) {
 	}
 	a := NewBankAwareArbiter(pm, SSEstimator{}, 3, 33)
 	// Make every bank look busy far into the future.
-	for d := noc.NodeID(noc.LayerSize); d < noc.NumNodes; d++ {
+	for d := paper.BankNode(0); d < noc.NodeID(paper.NumNodes()); d++ {
 		a.OnForward(pm.ParentOf(d), &noc.Packet{Kind: noc.KindWriteReq, Dst: d}, 0)
 	}
 	f := func(at uint8, dst uint8, kind uint8, now uint16) bool {
 		kinds := []noc.Kind{noc.KindReadResp, noc.KindWriteAck, noc.KindInv,
 			noc.KindInvAck, noc.KindMemReq, noc.KindMemResp, noc.KindTSAck}
-		router := noc.NodeID(int(at) % noc.NumNodes)
-		bank := noc.NodeID(int(dst)%noc.LayerSize) + noc.LayerSize
+		router := noc.NodeID(int(at) % paper.NumNodes())
+		bank := paper.BankNode(int(dst) % paper.NumBanks())
 		// Non-demand kinds: always normal priority everywhere.
 		k := kinds[int(kind)%len(kinds)]
 		if a.Priority(router, &noc.Packet{Kind: k, Dst: bank}, uint64(now)) != PriorityNormal {

@@ -8,6 +8,13 @@ import (
 	"sttsim/internal/noc"
 )
 
+// paper is the address map of the paper's 8x8x2 system, which every test in
+// this package runs on.
+var paper = cache.DefaultAddrMap()
+
+// newCore builds core id of the paper's system.
+func newCore(id int, gen Generator) *Core { return NewCoreMapped(id, gen, paper) }
+
 // scriptGen replays a fixed access list, then idles.
 type scriptGen struct {
 	script []Access
@@ -31,17 +38,17 @@ func TestNewCoreValidation(t *testing.T) {
 					t.Errorf("expected panic for core id %d", id)
 				}
 			}()
-			NewCore(id, &scriptGen{})
+			newCore(id, &scriptGen{})
 		}()
 	}
-	c := NewCore(5, &scriptGen{})
+	c := newCore(5, &scriptGen{})
 	if c.ID() != 5 || c.Node() != 5 {
 		t.Fatal("id/node mismatch")
 	}
 }
 
 func TestNonMemoryIPCIsTwo(t *testing.T) {
-	c := NewCore(0, &scriptGen{}) // empty script: all AccessNone
+	c := newCore(0, &scriptGen{}) // empty script: all AccessNone
 	for now := uint64(0); now < 100; now++ {
 		c.Tick(now)
 	}
@@ -52,8 +59,8 @@ func TestNonMemoryIPCIsTwo(t *testing.T) {
 }
 
 func TestSerializingLoadBlocksIssue(t *testing.T) {
-	addr := cache.ComposeAddr(3, 10)
-	c := NewCore(0, &scriptGen{script: []Access{
+	addr := paper.ComposeAddr(3, 10)
+	c := newCore(0, &scriptGen{script: []Access{
 		{Kind: AccessRead, Addr: addr, Serialize: true},
 	}})
 	for now := uint64(0); now < 50; now++ {
@@ -63,8 +70,8 @@ func TestSerializingLoadBlocksIssue(t *testing.T) {
 	if len(out) != 1 || out[0].Kind != noc.KindReadReq {
 		t.Fatalf("expected one ReadReq, got %v", out)
 	}
-	if out[0].Dst != cache.HomeNode(addr) {
-		t.Fatalf("request to %d, want %d", out[0].Dst, cache.HomeNode(addr))
+	if out[0].Dst != paper.HomeNode(addr) {
+		t.Fatalf("request to %d, want %d", out[0].Dst, paper.HomeNode(addr))
 	}
 	blockedAt := c.Committed()
 	// No response: the core must stay blocked.
@@ -90,9 +97,9 @@ func TestSerializingLoadBlocksIssue(t *testing.T) {
 func TestPostedWritesDoNotBlock(t *testing.T) {
 	script := make([]Access, 10)
 	for i := range script {
-		script[i] = Access{Kind: AccessWrite, Addr: cache.ComposeAddr(i, 5)}
+		script[i] = Access{Kind: AccessWrite, Addr: paper.ComposeAddr(i, 5)}
 	}
-	c := NewCore(1, &scriptGen{script: script})
+	c := newCore(1, &scriptGen{script: script})
 	for now := uint64(0); now < 100; now++ {
 		c.Tick(now)
 	}
@@ -116,9 +123,9 @@ func TestPostedWritesDoNotBlock(t *testing.T) {
 func TestStoreBufferLimitStallsIssue(t *testing.T) {
 	script := make([]Access, MaxL1MSHRs+10)
 	for i := range script {
-		script[i] = Access{Kind: AccessWrite, Addr: cache.ComposeAddr(i%64, uint64(i))}
+		script[i] = Access{Kind: AccessWrite, Addr: paper.ComposeAddr(i%64, uint64(i))}
 	}
-	c := NewCore(2, &scriptGen{script: script})
+	c := newCore(2, &scriptGen{script: script})
 	for now := uint64(0); now < 200; now++ {
 		c.Tick(now)
 	}
@@ -153,8 +160,8 @@ func TestStoreBufferLimitStallsIssue(t *testing.T) {
 }
 
 func TestLoadMergeToSameLine(t *testing.T) {
-	addr := cache.ComposeAddr(4, 20)
-	c := NewCore(3, &scriptGen{script: []Access{
+	addr := paper.ComposeAddr(4, 20)
+	c := newCore(3, &scriptGen{script: []Access{
 		{Kind: AccessRead, Addr: addr},
 		{Kind: AccessRead, Addr: addr},
 		{Kind: AccessRead, Addr: addr + 4}, // same line (offset within 128B)
@@ -185,7 +192,7 @@ func TestLoadMergeToSameLine(t *testing.T) {
 }
 
 func TestInvalidationAcked(t *testing.T) {
-	c := NewCore(6, &scriptGen{})
+	c := newCore(6, &scriptGen{})
 	c.OnPacket(&noc.Packet{Kind: noc.KindInv, Src: 91, Addr: 0x1000}, 5)
 	out := c.Outbox()
 	if len(out) != 1 || out[0].Kind != noc.KindInvAck || out[0].Dst != 91 {
@@ -199,9 +206,9 @@ func TestInvalidationAcked(t *testing.T) {
 func TestOneMemOpPerCycle(t *testing.T) {
 	// Two memory ops fetched in the same cycle: only one issues per cycle
 	// (Table 1).
-	c := NewCore(7, &scriptGen{script: []Access{
-		{Kind: AccessWrite, Addr: cache.ComposeAddr(0, 1)},
-		{Kind: AccessWrite, Addr: cache.ComposeAddr(1, 1)},
+	c := newCore(7, &scriptGen{script: []Access{
+		{Kind: AccessWrite, Addr: paper.ComposeAddr(0, 1)},
+		{Kind: AccessWrite, Addr: paper.ComposeAddr(1, 1)},
 	}})
 	c.Tick(0)
 	if got := len(c.Outbox()); got != 1 {
@@ -214,8 +221,8 @@ func TestOneMemOpPerCycle(t *testing.T) {
 }
 
 func TestResetStatsKeepsArchitecturalState(t *testing.T) {
-	addr := cache.ComposeAddr(2, 2)
-	c := NewCore(8, &scriptGen{script: []Access{{Kind: AccessRead, Addr: addr, Serialize: true}}})
+	addr := paper.ComposeAddr(2, 2)
+	c := newCore(8, &scriptGen{script: []Access{{Kind: AccessRead, Addr: addr, Serialize: true}}})
 	for now := uint64(0); now < 20; now++ {
 		c.Tick(now)
 	}
@@ -245,15 +252,15 @@ func TestCoreProgressProperty(t *testing.T) {
 			switch b % 4 {
 			case 0:
 				script = append(script, Access{Kind: AccessRead,
-					Addr: cache.ComposeAddr(int(b), uint64(b)), Serialize: b%8 == 0})
+					Addr: paper.ComposeAddr(int(b), uint64(b)), Serialize: b%8 == 0})
 			case 1:
 				script = append(script, Access{Kind: AccessWrite,
-					Addr: cache.ComposeAddr(int(b), uint64(b))})
+					Addr: paper.ComposeAddr(int(b), uint64(b))})
 			default:
 				script = append(script, Access{Kind: AccessNone})
 			}
 		}
-		c := NewCore(0, &scriptGen{script: script})
+		c := newCore(0, &scriptGen{script: script})
 		type echo struct {
 			p  *noc.Packet
 			at uint64

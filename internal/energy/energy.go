@@ -53,15 +53,10 @@ func (r Report) UncoreJ() float64 {
 	return r.CacheDynamicJ + r.CacheLeakageJ + r.NetworkDynamicJ + r.NetworkLeakageJ
 }
 
-// Compute derives the un-core energy of a run from the bank technology, the
-// per-bank access counts, the network traffic counters, and the measured
-// cycle count.
-func Compute(tech mem.Tech, banks []mem.BankStats, net noc.NetStats, cycles uint64, p Params) Report {
-	return ComputeN(tech, banks, net, cycles, noc.NumNodes, p)
-}
-
-// ComputeN is Compute with an explicit router count (non-default
-// topologies); network leakage scales with the number of routers.
+// ComputeN derives the un-core energy of a run from the bank technology, the
+// per-bank access counts, the network traffic counters, the measured cycle
+// count and the router count; network leakage scales with the number of
+// routers.
 func ComputeN(tech mem.Tech, banks []mem.BankStats, net noc.NetStats, cycles uint64, routers int, p Params) Report {
 	seconds := float64(cycles) / ClockHz
 	var r Report

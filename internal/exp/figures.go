@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 
-	"sttsim/internal/noc"
 	"sttsim/internal/sim"
 	"sttsim/internal/stats"
 	"sttsim/internal/workload"
@@ -601,5 +600,3 @@ func PrintFigure10(w io.Writer, entries []Fig10Entry) {
 	}
 	t.write(w)
 }
-
-var _ = noc.NumNodes // keep noc linked for future instrumentation

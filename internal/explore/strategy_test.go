@@ -50,7 +50,7 @@ func (f *fakeBatch) fn(ctx context.Context, pts []Point, budget uint64) ([]*Eval
 	out := make([]*Evaluation, len(pts))
 	for i, p := range pts {
 		f.totalCycles += budget
-		f.perBudget[budget] += len(pts[i:i+1])
+		f.perBudget[budget] += len(pts[i : i+1])
 		// A stable synthetic score: hash of the ID.
 		h := uint64(14695981039346656037)
 		for _, c := range []byte(p.ID) {

@@ -174,16 +174,10 @@ type Engine struct {
 	stats   Stats
 }
 
-// NewEngine builds the engine for a campaign over the default topology's 64
-// banks. The runSeed is mixed in when the config leaves Seed at 0, so fault
-// draws follow the workload seed by default.
-func NewEngine(cfg Config, runSeed uint64) (*Engine, error) {
-	return NewEngineBanks(cfg, runSeed, noc.LayerSize)
-}
-
-// NewEngineBanks builds the engine with an explicit bank count (non-default
-// topologies). Per-bank streams are seeded by bank index, so the default
-// count reproduces NewEngine's draws exactly.
+// NewEngineBanks builds the engine for a campaign over numBanks banks. The
+// runSeed is mixed in when the config leaves Seed at 0, so fault draws
+// follow the workload seed by default. Per-bank streams are seeded by bank
+// index, so a bank draws the same stream whatever the bank count.
 func NewEngineBanks(cfg Config, runSeed uint64, numBanks int) (*Engine, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err

@@ -6,6 +6,9 @@ import (
 	"sttsim/internal/noc"
 )
 
+// paperBanks is the bank count of the paper's 8x8x2 system.
+var paperBanks = noc.DefaultTopology().NumBanks()
+
 func TestConfigEnabled(t *testing.T) {
 	var nilCfg *Config
 	if nilCfg.Enabled() {
@@ -39,7 +42,7 @@ func TestConfigValidate(t *testing.T) {
 		if err := c.Validate(); err == nil {
 			t.Errorf("config %d should be rejected: %+v", i, c)
 		}
-		if _, err := NewEngine(c, 1); err == nil {
+		if _, err := NewEngineBanks(c, 1, paperBanks); err == nil {
 			t.Errorf("engine %d should refuse the bad config", i)
 		}
 	}
@@ -61,10 +64,10 @@ func TestDefaultsResolution(t *testing.T) {
 }
 
 func TestEventsDueConsumesInOrder(t *testing.T) {
-	e, err := NewEngine(Config{
+	e, err := NewEngineBanks(Config{
 		TSBFailures: []TSBFailure{{Cycle: 50, Region: 1}, {Cycle: 10, Region: 0}},
 		PortFaults:  []PortFault{{Cycle: 10, Node: 3, Port: noc.PortEast}},
-	}, 1)
+	}, 1, paperBanks)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +94,7 @@ func TestEventsDueConsumesInOrder(t *testing.T) {
 
 func TestWriteFailsDeterministicPerBank(t *testing.T) {
 	draw := func() [2][]bool {
-		e, _ := NewEngine(Config{Seed: 42, WriteErrorRate: 0.3}, 0)
+		e, _ := NewEngineBanks(Config{Seed: 42, WriteErrorRate: 0.3}, 0, paperBanks)
 		var out [2][]bool
 		// Interleave banks differently than a plain loop would to show the
 		// streams are independent of draw order.
@@ -105,7 +108,7 @@ func TestWriteFailsDeterministicPerBank(t *testing.T) {
 	}
 	a := draw()
 	// Same campaign, opposite service order: per-bank sequences must match.
-	e, _ := NewEngine(Config{Seed: 42, WriteErrorRate: 0.3}, 0)
+	e, _ := NewEngineBanks(Config{Seed: 42, WriteErrorRate: 0.3}, 0, paperBanks)
 	var b [2][]bool
 	for i := 0; i < 100; i++ {
 		b[1] = append(b[1], e.WriteFails(9))
@@ -129,25 +132,25 @@ func TestWriteFailsDeterministicPerBank(t *testing.T) {
 }
 
 func TestWriteFailsRateZeroAndBounds(t *testing.T) {
-	e, _ := NewEngine(Config{WriteErrorRate: 0}, 7)
+	e, _ := NewEngineBanks(Config{WriteErrorRate: 0}, 7, paperBanks)
 	if e.WriteFails(0) {
 		t.Fatal("zero rate must never fail")
 	}
 	if e.Stats().WriteDraws != 0 {
 		t.Fatal("zero rate must not even draw")
 	}
-	hot, _ := NewEngine(Config{WriteErrorRate: 1}, 7)
+	hot, _ := NewEngineBanks(Config{WriteErrorRate: 1}, 7, paperBanks)
 	if !hot.WriteFails(0) {
 		t.Fatal("rate 1 must always fail")
 	}
-	if hot.WriteFails(-1) || hot.WriteFails(noc.LayerSize) {
+	if hot.WriteFails(-1) || hot.WriteFails(paperBanks) {
 		t.Fatal("out-of-range banks must not fail (or draw)")
 	}
 }
 
 func TestSeedDerivedFromRunSeed(t *testing.T) {
-	a, _ := NewEngine(Config{WriteErrorRate: 0.5}, 111)
-	b, _ := NewEngine(Config{WriteErrorRate: 0.5}, 222)
+	a, _ := NewEngineBanks(Config{WriteErrorRate: 0.5}, 111, paperBanks)
+	b, _ := NewEngineBanks(Config{WriteErrorRate: 0.5}, 222, paperBanks)
 	diff := false
 	for i := 0; i < 64 && !diff; i++ {
 		diff = a.WriteFails(0) != b.WriteFails(0)
@@ -156,8 +159,8 @@ func TestSeedDerivedFromRunSeed(t *testing.T) {
 		t.Fatal("different run seeds produced identical fault streams")
 	}
 	// An explicit campaign seed decouples faults from the run seed.
-	c, _ := NewEngine(Config{Seed: 9, WriteErrorRate: 0.5}, 111)
-	d, _ := NewEngine(Config{Seed: 9, WriteErrorRate: 0.5}, 222)
+	c, _ := NewEngineBanks(Config{Seed: 9, WriteErrorRate: 0.5}, 111, paperBanks)
+	d, _ := NewEngineBanks(Config{Seed: 9, WriteErrorRate: 0.5}, 222, paperBanks)
 	for i := 0; i < 64; i++ {
 		if c.WriteFails(3) != d.WriteFails(3) {
 			t.Fatal("explicit campaign seed must override the run seed")

@@ -73,21 +73,21 @@ func arbitrationCallDigest(t *testing.T, vcs []int, seed uint64) (string, int) {
 		WideTSBs:    []NodeID{27, 28, 35, 36},
 		Prioritizer: rp,
 	})
-	for d := NodeID(0); d < NumNodes; d++ {
+	for d := NodeID(0); d < NodeID(paper.NumNodes()); d++ {
 		n.SetDeliver(d, func(*Packet, uint64) {})
 	}
 	// Gated banks refuse deliveries one 32-cycle window in three, which backs
 	// flits up behind the local ejection port.
-	for d := NodeID(LayerSize); d < NumNodes; d += 5 {
+	for d := paper.BankNode(0); d < NodeID(paper.NumNodes()); d += 5 {
 		n.NIC(d).SetGate(func(p *Packet, now uint64) bool { return (now/32+uint64(d))%3 != 0 })
 	}
-	rng := seed
+	rng, nodes := seed, uint64(paper.NumNodes())
 	now := uint64(0)
 	for ; now < 2000; now++ {
 		for i := 0; i < 3; i++ {
 			rng = splitmix64(rng)
-			src := NodeID(rng % NumNodes)
-			dst := NodeID(rng >> 8 % NumNodes)
+			src := NodeID(rng % nodes)
+			dst := NodeID(rng >> 8 % nodes)
 			if src == dst {
 				continue
 			}

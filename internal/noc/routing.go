@@ -56,19 +56,10 @@ type Routing struct {
 	demandNext []int8 // demand requests (region-TSB rule)
 }
 
-// NewRouting builds a routing function for the paper's default 8x8x2 shape.
-// Under PathRegionTSBs, tsbOf must map every cache-layer node (64..127) to a
-// core-layer TSB node; NewRouting returns an error otherwise. Under
-// PathAllTSVs, tsbOf may be nil.
-func NewRouting(mode RequestPathMode, tsbOf map[NodeID]NodeID) (*Routing, error) {
-	return NewRoutingTopo(DefaultTopology(), mode, tsbOf)
-}
-
 // NewRoutingTopo builds a routing function over an arbitrary topology. Under
 // PathRegionTSBs, tsbOf must map every cache-layer node to a core-layer TSB
 // node.
 func NewRoutingTopo(topo Topology, mode RequestPathMode, tsbOf map[NodeID]NodeID) (*Routing, error) {
-	topo = topo.OrDefault()
 	if err := topo.Validate(); err != nil {
 		return nil, err
 	}
@@ -112,7 +103,7 @@ func (r *Routing) TSBOf(d NodeID) NodeID { return r.tsbOf[d] }
 
 // UpdateTSBMap replaces the cache-node-to-TSB assignment mid-run — the
 // re-homing step of graceful degradation after a TSB failure. It validates
-// like NewRouting and is a no-op for PathAllTSVs routings.
+// like NewRoutingTopo and is a no-op for PathAllTSVs routings.
 func (r *Routing) UpdateTSBMap(tsbOf map[NodeID]NodeID) error {
 	if r.mode != PathRegionTSBs {
 		return nil
@@ -196,69 +187,6 @@ func (r *Routing) recomputeDescents() {
 // responses, and memory traffic use all 64 TSVs (Section 3.4).
 func isDemandRequest(p *Packet) bool {
 	return p.Kind == KindReadReq || p.Kind == KindWriteReq
-}
-
-// XYNext returns the port taking one X-Y step from node at toward the
-// same-layer node dst (PortLocal when already there), over the default
-// topology. It panics if the nodes are on different layers, since that is a
-// routing-logic error.
-func XYNext(at, dst NodeID) Port {
-	if at.Layer() != dst.Layer() {
-		panic("noc: XYNext across layers")
-	}
-	switch {
-	case at.X() < dst.X():
-		return PortEast
-	case at.X() > dst.X():
-		return PortWest
-	case at.Y() < dst.Y():
-		return PortNorth
-	case at.Y() > dst.Y():
-		return PortSouth
-	default:
-		return PortLocal
-	}
-}
-
-// Neighbor returns the node reached by leaving at through port p over the
-// default topology, or -1 when the port exits the mesh (edge ports, or
-// vertical ports that do not exist).
-func Neighbor(at NodeID, p Port) NodeID {
-	x, y, layer := at.X(), at.Y(), at.Layer()
-	switch p {
-	case PortNorth:
-		if y+1 >= MeshDim {
-			return -1
-		}
-		return NodeAt(layer, x, y+1)
-	case PortSouth:
-		if y-1 < 0 {
-			return -1
-		}
-		return NodeAt(layer, x, y-1)
-	case PortEast:
-		if x+1 >= MeshDim {
-			return -1
-		}
-		return NodeAt(layer, x+1, y)
-	case PortWest:
-		if x-1 < 0 {
-			return -1
-		}
-		return NodeAt(layer, x-1, y)
-	case PortDown:
-		if layer != 0 {
-			return -1
-		}
-		return at.Below()
-	case PortUp:
-		if layer != 1 {
-			return -1
-		}
-		return at.Above()
-	default:
-		return -1
-	}
 }
 
 // NextPort returns the output port packet p takes at node at.
@@ -347,17 +275,6 @@ func (r *Routing) Path(p *Packet) []NodeID {
 		if len(path) > 4*r.topo.NumNodes() {
 			panic(fmt.Sprintf("noc: routing loop for packet from %d to %d", p.Src, p.Dst))
 		}
-	}
-	return path
-}
-
-// XYPath returns the X-Y route between two same-layer nodes of the default
-// topology, inclusive of both endpoints.
-func XYPath(a, b NodeID) []NodeID {
-	path := []NodeID{a}
-	for at := a; at != b; {
-		at = Neighbor(at, XYNext(at, b))
-		path = append(path, at)
 	}
 	return path
 }

@@ -15,9 +15,8 @@ import (
 // concurrently through the campaign pool).
 //
 // Node numbering generalizes Figure 4: node = layer*LayerSize + y*MeshX + x.
-// The package-level NodeID helpers (X, Y, Layer, Below, Above, Valid) and
-// the MeshDim/LayerSize/NumNodes constants remain as the default-topology
-// view; topology-aware code must use the Topology methods instead.
+// The Topology methods are the only geometry over a NodeID, and
+// DefaultTopology is the only place the paper's shape is written down.
 type Topology struct {
 	MeshX  int // mesh width (columns) per layer
 	MeshY  int // mesh height (rows) per layer
@@ -40,22 +39,11 @@ const (
 // DefaultTopology is the paper's 8x8x2 system: one 64-core layer under one
 // 64-bank cache layer.
 func DefaultTopology() Topology {
-	return Topology{MeshX: MeshDim, MeshY: MeshDim, Layers: 2}
-}
-
-// IsZero reports whether t is the unset zero value.
-func (t Topology) IsZero() bool { return t.MeshX == 0 && t.MeshY == 0 && t.Layers == 0 }
-
-// OrDefault returns t, or the paper's default topology when t is zero.
-func (t Topology) OrDefault() Topology {
-	if t.IsZero() {
-		return DefaultTopology()
-	}
-	return t
+	return Topology{MeshX: 8, MeshY: 8, Layers: 2}
 }
 
 // IsDefault reports whether t is the paper's 8x8x2 shape.
-func (t Topology) IsDefault() bool { return t.OrDefault() == DefaultTopology() }
+func (t Topology) IsDefault() bool { return t == DefaultTopology() }
 
 // Validate checks the topology's bounds. A nil return guarantees every
 // derived quantity (LayerSize, NumNodes, NumBanks) is positive and within the

@@ -5,7 +5,16 @@ import (
 	"testing/quick"
 )
 
+// paper is the 8x8x2 shape of Table 1 and Figure 4, which every test in this
+// package runs on unless it builds its own Topology.
+var paper = DefaultTopology()
+
 func TestNodeIDGeometry(t *testing.T) {
+	// Table 1: 64 cores over 64 STT-RAM banks.
+	if paper.NumNodes() != 128 || paper.NumCores() != 64 || paper.NumBanks() != 64 {
+		t.Fatalf("default topology %v has %d nodes, %d cores, %d banks; want 128, 64, 64",
+			paper, paper.NumNodes(), paper.NumCores(), paper.NumBanks())
+	}
 	cases := []struct {
 		id          NodeID
 		layer, x, y int
@@ -19,15 +28,15 @@ func TestNodeIDGeometry(t *testing.T) {
 		{127, 1, 7, 7},
 	}
 	for _, c := range cases {
-		if c.id.Layer() != c.layer || c.id.X() != c.x || c.id.Y() != c.y {
+		if l, x, y := paper.Layer(c.id), paper.X(c.id), paper.Y(c.id); l != c.layer || x != c.x || y != c.y {
 			t.Errorf("node %d = (layer %d, x %d, y %d), want (%d, %d, %d)",
-				c.id, c.id.Layer(), c.id.X(), c.id.Y(), c.layer, c.x, c.y)
+				c.id, l, x, y, c.layer, c.x, c.y)
 		}
-		if NodeAt(c.layer, c.x, c.y) != c.id {
-			t.Errorf("NodeAt(%d,%d,%d) = %d, want %d", c.layer, c.x, c.y, NodeAt(c.layer, c.x, c.y), c.id)
+		if got := paper.NodeAt(c.layer, c.x, c.y); got != c.id {
+			t.Errorf("NodeAt(%d,%d,%d) = %d, want %d", c.layer, c.x, c.y, got, c.id)
 		}
 	}
-	if NodeID(27).Below() != 91 || NodeID(91).Above() != 27 {
+	if paper.Below(27) != 91 || paper.Above(91) != 27 {
 		t.Fatal("Below/Above mismatch for the paper's node 27/91 pair")
 	}
 }
@@ -36,28 +45,28 @@ func TestSameLayerDistancePaperExamples(t *testing.T) {
 	// Figure 4: router 91 manages banks 75, 82, 89 — all two hops away;
 	// router 90 manages 74, 81, 88.
 	for _, d := range []NodeID{75, 82, 89} {
-		if got := SameLayerDistance(91, d); got != 2 {
+		if got := paper.SameLayerDistance(91, d); got != 2 {
 			t.Errorf("distance(91,%d) = %d, want 2", d, got)
 		}
 	}
 	for _, d := range []NodeID{74, 81, 88} {
-		if got := SameLayerDistance(90, d); got != 2 {
+		if got := paper.SameLayerDistance(90, d); got != 2 {
 			t.Errorf("distance(90,%d) = %d, want 2", d, got)
 		}
 	}
 }
 
 func TestNeighborAndOpposite(t *testing.T) {
-	if Neighbor(0, PortWest) != -1 || Neighbor(0, PortSouth) != -1 {
+	if paper.Neighbor(0, PortWest) != -1 || paper.Neighbor(0, PortSouth) != -1 {
 		t.Fatal("corner node should have no west/south neighbors")
 	}
-	if Neighbor(0, PortEast) != 1 || Neighbor(0, PortNorth) != 8 {
+	if paper.Neighbor(0, PortEast) != 1 || paper.Neighbor(0, PortNorth) != 8 {
 		t.Fatal("corner node east/north neighbors wrong")
 	}
-	if Neighbor(0, PortDown) != 64 || Neighbor(64, PortUp) != 0 {
+	if paper.Neighbor(0, PortDown) != 64 || paper.Neighbor(64, PortUp) != 0 {
 		t.Fatal("vertical neighbors wrong")
 	}
-	if Neighbor(0, PortUp) != -1 || Neighbor(64, PortDown) != -1 {
+	if paper.Neighbor(0, PortUp) != -1 || paper.Neighbor(64, PortDown) != -1 {
 		t.Fatal("vertical ports should not exist beyond the two layers")
 	}
 	for p := PortNorth; p < PortLocal; p++ {
@@ -74,13 +83,13 @@ func TestNeighborAndOpposite(t *testing.T) {
 // port p, then A is B's neighbor via p.Opposite().
 func TestNeighborSymmetryProperty(t *testing.T) {
 	f := func(rawNode uint8, rawPort uint8) bool {
-		a := NodeID(int(rawNode) % NumNodes)
+		a := NodeID(int(rawNode) % paper.NumNodes())
 		p := Port(int(rawPort) % int(PortLocal)) // cardinal ports
-		b := Neighbor(a, p)
+		b := paper.Neighbor(a, p)
 		if b < 0 {
 			return true
 		}
-		return Neighbor(b, p.Opposite()) == a
+		return paper.Neighbor(b, p.Opposite()) == a
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -89,20 +98,20 @@ func TestNeighborSymmetryProperty(t *testing.T) {
 
 func TestXYNextAndPath(t *testing.T) {
 	// X first, then Y.
-	if XYNext(64, 67) != PortEast {
+	if paper.XYNext(64, 67) != PortEast {
 		t.Fatal("should move east first")
 	}
-	if XYNext(64, 88) != PortNorth {
+	if paper.XYNext(64, 88) != PortNorth {
 		t.Fatal("same column should move north")
 	}
-	if XYNext(91, 75) != PortSouth {
+	if paper.XYNext(91, 75) != PortSouth {
 		t.Fatal("same column should move south")
 	}
-	if XYNext(91, 91) != PortLocal {
+	if paper.XYNext(91, 91) != PortLocal {
 		t.Fatal("arrived should be local")
 	}
 	// Paper route: TSB entry 91 to bank 74 goes 91 -> 90 -> 82 -> 74.
-	path := XYPath(91, 74)
+	path := paper.XYPath(91, 74)
 	want := []NodeID{91, 90, 82, 74}
 	if len(path) != len(want) {
 		t.Fatalf("path = %v, want %v", path, want)
@@ -118,14 +127,14 @@ func TestXYNextAndPath(t *testing.T) {
 // pair differs by exactly one hop.
 func TestXYPathProperty(t *testing.T) {
 	f := func(ra, rb uint8) bool {
-		a := NodeID(int(ra)%LayerSize) + LayerSize
-		b := NodeID(int(rb)%LayerSize) + LayerSize
-		path := XYPath(a, b)
-		if len(path) != SameLayerDistance(a, b)+1 {
+		a := paper.BankNode(int(ra) % paper.NumBanks())
+		b := paper.BankNode(int(rb) % paper.NumBanks())
+		path := paper.XYPath(a, b)
+		if len(path) != paper.SameLayerDistance(a, b)+1 {
 			return false
 		}
 		for i := 1; i < len(path); i++ {
-			if SameLayerDistance(path[i-1], path[i]) != 1 {
+			if paper.SameLayerDistance(path[i-1], path[i]) != 1 {
 				return false
 			}
 		}
@@ -142,5 +151,5 @@ func TestXYNextPanicsAcrossLayers(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	XYNext(0, 64)
+	paper.XYNext(0, 64)
 }

@@ -1,24 +1,16 @@
-// Package noc implements the on-chip interconnect substrate: a two-layer
-// (8x8 mesh per layer) 3D network of 2-stage wormhole-switched,
-// virtual-channel flow-controlled routers connected by 128-bit links,
-// 128-bit through-silicon vias (TSVs), and a few high-density 256-bit
-// through-silicon buses (TSBs), exactly as configured in Table 1 of the
-// paper. Routing is deterministic (X-Y within a layer; Z transitions at the
-// endpoints or at region TSBs). The router arbitration stages accept a
-// pluggable Prioritizer so the paper's STT-RAM-aware packet re-ordering
-// (implemented in internal/core) can be layered on without modifying the
-// routers.
+// Package noc implements the on-chip interconnect substrate: a stacked 3D
+// network with one mesh per layer, shaped by a Topology (the paper's is
+// 8x8x2), of 2-stage wormhole-switched, virtual-channel flow-controlled
+// routers connected by 128-bit links, 128-bit through-silicon vias (TSVs),
+// and a few high-density 256-bit through-silicon buses (TSBs), exactly as
+// configured in Table 1 of the paper. Routing is deterministic (X-Y within a
+// layer; Z transitions at the endpoints or at region TSBs). The router
+// arbitration stages accept a pluggable Prioritizer so the paper's
+// STT-RAM-aware packet re-ordering (implemented in internal/core) can be
+// layered on without modifying the routers.
 package noc
 
 import "fmt"
-
-// Mesh geometry (Table 1): each layer is an 8x8 mesh; layer 0 holds the 64
-// cores, layer 1 the 64 L2 cache banks.
-const (
-	MeshDim   = 8
-	LayerSize = MeshDim * MeshDim
-	NumNodes  = 2 * LayerSize
-)
 
 // Router microarchitecture defaults (Table 1).
 const (
@@ -39,43 +31,11 @@ const (
 	HopLatency   = RouterStages + LinkCycles
 )
 
-// NodeID identifies a router/node: 0..63 are core-layer nodes, 64..127 are
-// cache-layer nodes (the numbering of the paper's Figure 4).
+// NodeID identifies a router/node. A Topology numbers its nodes layer by
+// layer, row by row: node = layer*LayerSize + y*MeshX + x, with layer 0 the
+// core layer (the numbering of the paper's Figure 4). The Topology methods
+// interpret a NodeID; the ID itself carries no geometry.
 type NodeID int
-
-// Layer returns 0 for the core layer, 1 for the cache layer.
-func (n NodeID) Layer() int { return int(n) / LayerSize }
-
-// X returns the node's column within its layer.
-func (n NodeID) X() int { return int(n) % MeshDim }
-
-// Y returns the node's row within its layer.
-func (n NodeID) Y() int { return (int(n) % LayerSize) / MeshDim }
-
-// Below returns the cache-layer node under a core-layer node.
-func (n NodeID) Below() NodeID { return n + LayerSize }
-
-// Above returns the core-layer node over a cache-layer node.
-func (n NodeID) Above() NodeID { return n - LayerSize }
-
-// NodeAt returns the NodeID at (x, y) in the given layer.
-func NodeAt(layer, x, y int) NodeID {
-	return NodeID(layer*LayerSize + y*MeshDim + x)
-}
-
-// SameLayerDistance returns the Manhattan distance between two nodes of the
-// same layer.
-func SameLayerDistance(a, b NodeID) int {
-	dx := a.X() - b.X()
-	if dx < 0 {
-		dx = -dx
-	}
-	dy := a.Y() - b.Y()
-	if dy < 0 {
-		dy = -dy
-	}
-	return dx + dy
-}
 
 // Port indexes a router port.
 type Port int

@@ -77,8 +77,8 @@ func SpecConfig(s JobSpec) (sim.Config, error) {
 	case len(s.Profiles) > 0 && s.Bench != "":
 		return sim.Config{}, fmt.Errorf("bench and profiles are mutually exclusive")
 	case len(s.Profiles) > 0:
-		if len(s.Profiles) > 64 {
-			return sim.Config{}, fmt.Errorf("at most 64 profiles, got %d", len(s.Profiles))
+		if len(s.Profiles) > workload.ProfileSlots {
+			return sim.Config{}, fmt.Errorf("at most %d profiles, got %d", workload.ProfileSlots, len(s.Profiles))
 		}
 		profs := make([]workload.Profile, len(s.Profiles))
 		names := make([]string, len(s.Profiles))

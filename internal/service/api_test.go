@@ -4,6 +4,8 @@ import (
 	"testing"
 
 	"sttsim/internal/core"
+	"sttsim/internal/workload"
+	api "sttsim/pkg/sttsim"
 )
 
 // TestSpecConfigPlacement pins how the wire's regions/corner pair resolves.
@@ -46,5 +48,26 @@ func TestSpecConfigPlacement(t *testing.T) {
 				t.Fatalf("fingerprint %s, want %s", cfg.Fingerprint(), c.fp)
 			}
 		})
+	}
+}
+
+// TestSpecConfigProfileBound pins the SDK's profile ceiling to the
+// assignment's slot count, and SpecConfig's check to both.
+func TestSpecConfigProfileBound(t *testing.T) {
+	if api.MaxProfiles != workload.ProfileSlots {
+		t.Fatalf("sttsim.MaxProfiles = %d, workload.ProfileSlots = %d", api.MaxProfiles, workload.ProfileSlots)
+	}
+	spec := func(n int) JobSpec {
+		s := JobSpec{Scheme: "wb", Profiles: make([]ProfileSpec, n)}
+		for i := range s.Profiles {
+			s.Profiles[i] = ProfileSpec{Name: "p", Suite: "spec", L1MPKI: 10, L2MPKI: 1, L2WPKI: 1, L2RPKI: 1}
+		}
+		return s
+	}
+	if _, err := SpecConfig(spec(workload.ProfileSlots)); err != nil {
+		t.Fatalf("%d profiles rejected: %v", workload.ProfileSlots, err)
+	}
+	if _, err := SpecConfig(spec(workload.ProfileSlots + 1)); err == nil {
+		t.Fatalf("%d profiles accepted", workload.ProfileSlots+1)
 	}
 }

@@ -222,7 +222,7 @@ func TestAllTSBsDeadIsStructuredError(t *testing.T) {
 func TestInducedDeadlockReturnsRunError(t *testing.T) {
 	cfg := faultCfg(SchemeSRAM64TSB, "tpcc", &fault.Config{
 		PortFaults: []fault.PortFault{
-			{Cycle: 100, Node: noc.NodeID(noc.LayerSize + 27), Port: noc.PortLocal},
+			{Cycle: 100, Node: noc.DefaultTopology().NodeAt(1, 3, 3), Port: noc.PortLocal},
 		},
 	})
 	cfg.WatchdogCycles = 1000

@@ -1,11 +1,11 @@
-//go:build golden
-
 package sim
 
-// Golden-trace determinism harness (build tag "golden", CI's regression job):
+// Golden-trace determinism harness. It runs with the rest of the package
+// under `go test ./...`; `make golden` and CI's golden job also run it under
+// the race detector:
 //
-//	go test -tags golden -run TestGolden -race ./internal/sim
-//	go test -tags golden -run TestGolden ./internal/sim -update   # re-baseline
+//	go test -run TestGolden -race ./internal/sim
+//	go test -run TestGolden ./internal/sim -update   # re-baseline
 //
 // For each scheme family a short traced run is reduced to the SHA-256 of its
 // complete binary trace — every event, every field, in emission order — and

@@ -13,7 +13,7 @@ import (
 
 func TestRoundTrip(t *testing.T) {
 	prof := workload.MustByName("tpcc")
-	gen := workload.NewGenerator(prof, 3, workload.ModeShared, 42)
+	gen := workload.NewGeneratorBanks(prof, 3, workload.ModeShared, 42, prof.MissRatio(), cache.DefaultAddrMap().NumBanks())
 	var buf bytes.Buffer
 	const n = 50000
 	if err := Record(gen, n, &buf, Meta{Name: "tpcc", Core: 3, Seed: 42}); err != nil {
@@ -30,7 +30,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatalf("meta mismatch: %+v", tr.Meta)
 	}
 	// The replayed stream must equal a fresh generator with the same seed.
-	ref := workload.NewGenerator(prof, 3, workload.ModeShared, 42)
+	ref := workload.NewGeneratorBanks(prof, 3, workload.ModeShared, 42, prof.MissRatio(), cache.DefaultAddrMap().NumBanks())
 	p := NewPlayer(tr)
 	for i := 0; i < n; i++ {
 		want := ref.Next()

@@ -3,7 +3,6 @@ package workload
 import (
 	"sttsim/internal/cache"
 	"sttsim/internal/cpu"
-	"sttsim/internal/noc"
 )
 
 // Mode selects the address-space organization.
@@ -78,22 +77,11 @@ type Generator struct {
 	coldNext   uint64
 }
 
-// NewGenerator builds the stream for one core with the profile's native
-// (STT-RAM) miss ratio. Streams with the same (profile, core, seed) are
+// NewGeneratorBanks builds the stream for one core that stripes over
+// numBanks banks. missRatio is the profile's native (STT-RAM) miss ratio, or
+// a larger one to model the smaller SRAM L2's extra capacity misses.
+// Streams with the same (profile, core, seed, miss ratio, bank count) are
 // identical across runs.
-func NewGenerator(prof Profile, core int, mode Mode, seed uint64) *Generator {
-	return NewGeneratorMiss(prof, core, mode, seed, prof.MissRatio())
-}
-
-// NewGeneratorMiss builds the stream with an explicit miss ratio — the
-// simulator uses this to model the smaller SRAM L2's extra capacity misses.
-func NewGeneratorMiss(prof Profile, core int, mode Mode, seed uint64, missRatio float64) *Generator {
-	return NewGeneratorBanks(prof, core, mode, seed, missRatio, cache.NumBanks)
-}
-
-// NewGeneratorBanks builds the stream with an explicit miss ratio and bank
-// count (non-default topologies); the default count reproduces
-// NewGeneratorMiss's stream exactly.
 func NewGeneratorBanks(prof Profile, core int, mode Mode, seed uint64, missRatio float64, numBanks int) *Generator {
 	g := &Generator{
 		prof:      prof,
@@ -257,10 +245,15 @@ func ModeFor(s Suite) Mode {
 	return ModeShared
 }
 
-// Assignment maps each of the 64 cores to a benchmark profile.
+// ProfileSlots is the length of Assignment.Profiles: one slot per core of the
+// paper's 64-core system. A mesh with more cores reuses slot core%ProfileSlots.
+// The config fingerprint hashes the whole array, so the length is fixed.
+const ProfileSlots = 64
+
+// Assignment maps each of the paper's 64 cores to a benchmark profile.
 type Assignment struct {
 	Name     string
-	Profiles [noc.LayerSize]Profile
+	Profiles [ProfileSlots]Profile
 	Mode     Mode
 }
 

@@ -7,8 +7,17 @@ import (
 
 	"sttsim/internal/cache"
 	"sttsim/internal/cpu"
-	"sttsim/internal/noc"
 )
+
+// paper is the address map of the paper's 8x8x2 system, which every test in
+// this package runs on.
+var paper = cache.DefaultAddrMap()
+
+// newGenerator builds core's stream on the paper's system at the profile's
+// native miss ratio.
+func newGenerator(prof Profile, core int, mode Mode, seed uint64) *Generator {
+	return NewGeneratorBanks(prof, core, mode, seed, prof.MissRatio(), paper.NumBanks())
+}
 
 func TestProfilesMatchPaperInventory(t *testing.T) {
 	if len(Profiles) != 42 {
@@ -114,7 +123,7 @@ func TestRandDeterminismAndRange(t *testing.T) {
 func TestGeneratorMatchesProfileRates(t *testing.T) {
 	for _, name := range []string{"tpcc", "hmmer", "calculix"} {
 		prof := MustByName(name)
-		g := NewGenerator(prof, 0, ModeFor(prof.Suite), 42)
+		g := newGenerator(prof, 0, ModeFor(prof.Suite), 42)
 		const n = 400000
 		var reads, writes int
 		for i := 0; i < n; i++ {
@@ -138,15 +147,15 @@ func TestGeneratorMatchesProfileRates(t *testing.T) {
 
 func TestGeneratorDeterminism(t *testing.T) {
 	prof := MustByName("lbm")
-	a := NewGenerator(prof, 3, ModePrivate, 9)
-	b := NewGenerator(prof, 3, ModePrivate, 9)
+	a := newGenerator(prof, 3, ModePrivate, 9)
+	b := newGenerator(prof, 3, ModePrivate, 9)
 	for i := 0; i < 10000; i++ {
 		if a.Next() != b.Next() {
 			t.Fatal("generator streams diverged for identical seeds")
 		}
 	}
 	// A different core gets a different stream.
-	c := NewGenerator(prof, 4, ModePrivate, 9)
+	c := newGenerator(prof, 4, ModePrivate, 9)
 	same := 0
 	for i := 0; i < 1000; i++ {
 		if a.Next() == c.Next() {
@@ -160,7 +169,7 @@ func TestGeneratorDeterminism(t *testing.T) {
 
 func TestColdAddressesNeverRepeat(t *testing.T) {
 	prof := MustByName("libqntm") // 100% read miss: every read is cold
-	g := NewGenerator(prof, 0, ModePrivate, 1)
+	g := newGenerator(prof, 0, ModePrivate, 1)
 	seen := map[uint64]bool{}
 	for i := 0; i < 200000; i++ {
 		a := g.Next()
@@ -177,8 +186,8 @@ func TestColdAddressesNeverRepeat(t *testing.T) {
 
 func TestPrivateModeAddressesDisjoint(t *testing.T) {
 	prof := MustByName("hmmer")
-	g0 := NewGenerator(prof, 0, ModePrivate, 5)
-	g1 := NewGenerator(prof, 1, ModePrivate, 5)
+	g0 := newGenerator(prof, 0, ModePrivate, 5)
+	g1 := newGenerator(prof, 1, ModePrivate, 5)
 	lines0 := map[uint64]bool{}
 	for i := 0; i < 50000; i++ {
 		if a := g0.Next(); a.Kind != cpu.AccessNone {
@@ -196,8 +205,8 @@ func TestPrivateModeAddressesDisjoint(t *testing.T) {
 
 func TestSharedModeTouchesSharedRegion(t *testing.T) {
 	prof := MustByName("tpcc")
-	g0 := NewGenerator(prof, 0, ModeShared, 5)
-	g1 := NewGenerator(prof, 1, ModeShared, 5)
+	g0 := newGenerator(prof, 0, ModeShared, 5)
+	g1 := newGenerator(prof, 1, ModeShared, 5)
 	lines0 := map[uint64]bool{}
 	for i := 0; i < 200000; i++ {
 		if a := g0.Next(); a.Kind != cpu.AccessNone {
@@ -219,7 +228,7 @@ func TestSharedModeTouchesSharedRegion(t *testing.T) {
 
 func TestBurstSteeringConcentratesOnOneBank(t *testing.T) {
 	prof := MustByName("tpcc") // bursty
-	g := NewGenerator(prof, 0, ModeShared, 3)
+	g := newGenerator(prof, 0, ModeShared, 3)
 	// Count the longest same-bank run of consecutive accesses.
 	longest, run, lastBank := 0, 0, -1
 	for i := 0; i < 500000; i++ {
@@ -227,7 +236,7 @@ func TestBurstSteeringConcentratesOnOneBank(t *testing.T) {
 		if a.Kind == cpu.AccessNone {
 			continue
 		}
-		b := cache.HomeBank(a.Addr)
+		b := paper.HomeBank(a.Addr)
 		if b == lastBank {
 			run++
 		} else {
@@ -244,7 +253,7 @@ func TestBurstSteeringConcentratesOnOneBank(t *testing.T) {
 
 func TestHotFootprintCoversHotAccesses(t *testing.T) {
 	prof := MustByName("hmmer")
-	g := NewGeneratorMiss(prof, 2, ModeShared, 11, 0) // no cold accesses
+	g := NewGeneratorBanks(prof, 2, ModeShared, 11, 0, paper.NumBanks()) // no cold accesses
 	foot := map[uint64]bool{}
 	for _, l := range g.HotFootprint() {
 		foot[l] = true
@@ -329,17 +338,17 @@ func TestGeneratorAddressValidityProperty(t *testing.T) {
 		if shared {
 			mode = ModeShared
 		}
-		g := NewGenerator(prof, int(core)%noc.LayerSize, mode, seed)
+		g := newGenerator(prof, int(core)%paper.Topology().NumCores(), mode, seed)
 		for i := 0; i < 2000; i++ {
 			a := g.Next()
 			if a.Kind == cpu.AccessNone {
 				continue
 			}
-			hb := cache.HomeBank(a.Addr)
-			if hb < 0 || hb >= cache.NumBanks {
+			hb := paper.HomeBank(a.Addr)
+			if hb < 0 || hb >= paper.NumBanks() {
 				return false
 			}
-			if cache.HomeNode(a.Addr).Layer() != 1 {
+			if paper.Topology().Layer(paper.HomeNode(a.Addr)) != 1 {
 				return false
 			}
 		}
