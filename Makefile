@@ -6,7 +6,6 @@
 # guard.
 
 GO ?= go
-GOFMT ?= gofmt
 
 .PHONY: all build vet test race bench-guard golden verify profile smoke serve-smoke explore-smoke functional loadtest dist-chaos chaos-sched
 
@@ -15,10 +14,12 @@ all: verify
 build:
 	$(GO) build ./...
 
-# vet also fails when gofmt would reformat any tracked Go file.
+# vet also fails when gofmt would reformat any tracked Go file, and when git
+# or gofmt cannot run, so a missing tool never passes the check.
 vet:
 	$(GO) vet ./...
-	@unformatted=$$(git ls-files '*.go' | xargs -r $(GOFMT) -l); \
+	@files=$$(git ls-files '*.go') && [ -n "$$files" ] || { echo "vet: cannot list tracked Go files" >&2; exit 1; }; \
+	unformatted=$$(gofmt -l $$files) || { echo "vet: gofmt failed" >&2; exit 1; }; \
 	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:" >&2; echo "$$unformatted" >&2; exit 1; fi
 
 test:

@@ -9,17 +9,15 @@ import (
 // heatShades maps intensity deciles to ASCII shades, light to dark.
 var heatShades = []byte(" .:-=+*#%@")
 
-// Heatmap renders a grid of values width columns wide (row-major, row 0
-// printed last so the layout matches the paper's Figure 4 mesh orientation
-// with y growing upward) as an ASCII intensity map, normalized to the maximum
-// value. It is the diagnostic view for per-bank utilization and per-router
-// occupancy; stacked layers render as consecutive row bands.
-func Heatmap(w io.Writer, title string, vals []float64, width int) {
-	if width <= 0 || len(vals) == 0 || len(vals)%width != 0 {
-		fmt.Fprintf(w, "%s: invalid heatmap shape (%d values for width %d)\n", title, len(vals), width)
+// Heatmap renders an 8x8 grid of values (row-major, row 0 printed last so
+// the layout matches the paper's Figure 4 mesh orientation with y growing
+// upward) as an ASCII intensity map, normalized to the maximum value. It is
+// the diagnostic view for per-bank utilization and per-router occupancy.
+func Heatmap(w io.Writer, title string, vals []float64, dim int) {
+	if dim <= 0 || len(vals) != dim*dim {
+		fmt.Fprintf(w, "%s: invalid heatmap shape (%d values for dim %d)\n", title, len(vals), dim)
 		return
 	}
-	rows := len(vals) / width
 	max := 0.0
 	for _, v := range vals {
 		if v > max {
@@ -27,13 +25,13 @@ func Heatmap(w io.Writer, title string, vals []float64, width int) {
 		}
 	}
 	fmt.Fprintf(w, "%s (max %.3f)\n", title, max)
-	border := "+" + strings.Repeat("-", 2*width) + "+"
+	border := "+" + strings.Repeat("-", 2*dim) + "+"
 	fmt.Fprintln(w, border)
-	for y := rows - 1; y >= 0; y-- {
+	for y := dim - 1; y >= 0; y-- {
 		var b strings.Builder
 		b.WriteByte('|')
-		for x := 0; x < width; x++ {
-			v := vals[y*width+x]
+		for x := 0; x < dim; x++ {
+			v := vals[y*dim+x]
 			shade := byte(' ')
 			if max > 0 {
 				idx := int(v / max * float64(len(heatShades)-1))

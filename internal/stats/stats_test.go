@@ -306,12 +306,6 @@ func TestHeatmapRendering(t *testing.T) {
 	if !strings.Contains(lines[2], "@@") {
 		t.Fatalf("top row should contain the darkest shade: %q", lines[2])
 	}
-	// A non-square grid renders one line per row: title, border, 4 rows, border.
-	var r strings.Builder
-	Heatmap(&r, "rect", vals[:32], 8)
-	if n := len(strings.Split(strings.TrimSpace(r.String()), "\n")); n != 7 {
-		t.Fatalf("8-wide 4-row grid rendered %d lines, want 7", n)
-	}
 	// Invalid shapes degrade gracefully.
 	var e strings.Builder
 	Heatmap(&e, "bad", vals[:3], 8)
