@@ -131,23 +131,16 @@ func run(which string, quick bool, warmup, measure, seed uint64, tech, topo stri
 		fmt.Fprintf(os.Stderr, "experiments: pprof+expvar on http://%s/debug/\n", obsAddr)
 	}
 	if checkpoint != "" {
-		if resume {
-			recs, dropped, err := campaign.LoadJournalEx(checkpoint)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-				return 1
-			}
-			if dropped > 0 {
-				fmt.Fprintf(os.Stderr, "experiments: %s: dropped %d torn/corrupt journal line(s); the affected runs will re-execute\n", checkpoint, dropped)
-			}
-			if n := eng.Preload(recs); n > 0 {
-				fmt.Fprintf(os.Stderr, "experiments: resuming, %d finished runs replayed from %s\n", n, checkpoint)
-			}
-		}
-		j, err := campaign.OpenJournal(checkpoint, resume)
+		j, recs, err := campaign.OpenJournal(checkpoint, resume)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			return 1
+		}
+		if dropped := j.Stats().ReplayDropped; dropped > 0 {
+			fmt.Fprintf(os.Stderr, "experiments: %s: dropped %d torn/corrupt journal line(s); the affected runs will re-execute\n", checkpoint, dropped)
+		}
+		if n := eng.Preload(recs); n > 0 {
+			fmt.Fprintf(os.Stderr, "experiments: resuming, %d finished runs replayed from %s\n", n, checkpoint)
 		}
 		eng.AttachJournal(j)
 	}

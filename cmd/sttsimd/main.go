@@ -5,11 +5,12 @@
 //
 // Clients POST simulation specs to /v1/jobs, poll /v1/jobs/{id}, stream live
 // progress from /v1/jobs/{id}/events (SSE), fetch /v1/jobs/{id}/result, and
-// scrape /v1/healthz and /v1/stats. Identical configurations — concurrent or
-// repeated — execute once: in-flight submissions join the singleflight memo,
-// finished ones hit the LRU result cache, and with -checkpoint/-resume the
-// cache is warmed from the journal so a restarted daemon serves previously
-// completed configurations without re-executing them. SIGINT/SIGTERM drain
+// scrape /v1/healthz/live, /v1/healthz/ready and /v1/stats. Identical
+// configurations — concurrent or repeated — execute once: in-flight
+// submissions join the singleflight memo, finished ones are answered at once
+// from it (a cache hit), and with -checkpoint/-resume the memo replays the
+// journal so a restarted daemon serves previously completed configurations
+// without re-executing them. SIGINT/SIGTERM drain
 // gracefully: no new jobs, in-flight runs finish (and journal) within
 // -drain-timeout, then the listener closes.
 //
@@ -51,10 +52,8 @@ func main() {
 	addr := flag.String("addr", ":8734", "listen address (standalone and coordinator)")
 	jobs := flag.Int("jobs", 0, "concurrent simulations (0 = GOMAXPROCS; coordinator: queue size)")
 	queue := flag.Int("queue", 64, "max queued+running jobs before 429 backpressure")
-	cacheSize := flag.Int("cache-size", 256, "result cache entries (LRU beyond this)")
-	cacheTTL := flag.Duration("cache-ttl", time.Hour, "result cache entry lifetime (0 = no expiry)")
 	checkpoint := flag.String("checkpoint", "", "JSONL checkpoint journal for finished runs (empty = none)")
-	resume := flag.Bool("resume", false, "warm the memo and result cache from the checkpoint journal")
+	resume := flag.Bool("resume", false, "replay finished runs from the checkpoint journal into the memo")
 	journalSync := flag.String("journal-sync", "interval", "journal fsync policy: always | interval | never")
 	journalSyncInterval := flag.Duration("journal-sync-interval", time.Second, "max time between journal fsyncs under -journal-sync=interval")
 	journalMaxBytes := flag.Int64("journal-max-bytes", 64<<20, "compact the journal in place once it exceeds this size (0 = never)")
@@ -101,26 +100,17 @@ func main() {
 	eng := campaign.New(campaign.Policy{Jobs: engineJobs, RunTimeout: *runTimeout})
 
 	// The journal opens before the server so its health feeds /ready and
-	// /v1/stats from the first request. Replay (load) precedes open: open
-	// with resume repairs any torn tail in place.
+	// /v1/stats from the first request. With -resume, opening is the one
+	// read of the file: it returns the intact records and repairs any torn
+	// tail in place.
 	var jrn *campaign.Journal
-	var pending []campaign.Record
+	var recs []campaign.Record
 	if *checkpoint != "" {
-		if *resume {
-			recs, dropped, err := campaign.LoadJournalEx(*checkpoint)
-			if err != nil && !os.IsNotExist(err) {
-				logger.Fatalf("load checkpoint: %v", err)
-			}
-			if dropped > 0 {
-				logger.Printf("dropped %d torn/corrupt journal line(s) from %s", dropped, *checkpoint)
-			}
-			pending = recs
-		}
 		sync, err := campaign.ParseSyncPolicy(*journalSync)
 		if err != nil {
 			logger.Fatal(err)
 		}
-		jrn, err = campaign.OpenJournalWith(*checkpoint, *resume, campaign.JournalOptions{
+		jrn, recs, err = campaign.OpenJournalWith(*checkpoint, *resume, campaign.JournalOptions{
 			Sync:      sync,
 			SyncEvery: *journalSyncInterval,
 			MaxBytes:  *journalMaxBytes,
@@ -130,14 +120,18 @@ func main() {
 			logger.Fatalf("open checkpoint: %v", err)
 		}
 		defer jrn.Close()
+		if dropped := jrn.Stats().ReplayDropped; dropped > 0 {
+			logger.Printf("dropped %d torn/corrupt journal line(s) from %s", dropped, *checkpoint)
+		}
+		if n := eng.Preload(recs); n > 0 {
+			logger.Printf("resumed %d journal record(s), %d finished run(s) replayed", len(recs), n)
+		}
 		eng.AttachJournal(jrn)
 	}
 
 	srv, err := service.NewServer(service.Options{
 		Engine:     eng,
 		MaxQueue:   *queue,
-		CacheSize:  *cacheSize,
-		CacheTTL:   *cacheTTL,
 		RatePerSec: *rate,
 		RateBurst:  *burst,
 		Version:    ver,
@@ -148,15 +142,10 @@ func main() {
 	if err != nil {
 		logger.Fatal(err)
 	}
-	if len(pending) > 0 {
-		if n := srv.WarmFromJournal(pending); n > 0 {
-			logger.Printf("resumed %d journal record(s), %d warmed the result cache", len(pending), n)
-		}
-	}
 	// After the journal is attached, so re-queued jobs write fresh lease
 	// records and eventually terminal ones.
-	if table != nil && len(pending) > 0 {
-		if n := srv.RequeuePending(pending); n > 0 {
+	if table != nil && len(recs) > 0 {
+		if n := srv.RequeuePending(recs); n > 0 {
 			logger.Printf("re-queued %d leased-but-unfinished job(s) from the journal", n)
 		}
 	}
@@ -170,8 +159,8 @@ func main() {
 	httpSrv := &http.Server{Handler: srv.Handler()}
 	done := make(chan error, 1)
 	go func() { done <- httpSrv.Serve(ln) }()
-	logger.Printf("version %s %s listening on %s (jobs=%d queue=%d cache=%d/%s)",
-		ver, *mode, ln.Addr(), engineJobs, *queue, *cacheSize, cacheTTL)
+	logger.Printf("version %s %s listening on %s (jobs=%d queue=%d)",
+		ver, *mode, ln.Addr(), engineJobs, *queue)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

@@ -26,6 +26,7 @@ package campaign
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"runtime"
@@ -195,8 +196,14 @@ func (e *ReplayedError) Error() string {
 // executes it; everyone else waits on done.
 type call struct {
 	done chan struct{}
-	res  *sim.Result
-	err  error
+	// Set before done closes. An OK outcome keeps its result's canonical
+	// JSON in data, the bytes the journal line embeds; res is the struct an
+	// executed run returned, or nil for a call preloaded from the journal
+	// until outcome decodes data.
+	data   json.RawMessage
+	res    *sim.Result
+	err    error
+	decode sync.Once
 
 	// Keyed submissions (SubmitKeyed) additionally carry a per-call cancel
 	// and a refcount of live handles, so a run is abandoned only when every
@@ -265,11 +272,12 @@ func (e *Engine) JournalRecord(rec Record) error {
 	return j.Append(rec)
 }
 
-// Preload seeds the memo from journal records (see LoadJournal): completed
-// runs return their journaled result without executing; quarantined failures
-// replay as *ReplayedError. Retryable failures (timeout, deadlock) are NOT
-// preloaded — a resume retries them fresh. Later records win over earlier
-// ones, matching append order. Returns the number of runs restored.
+// Preload seeds the memo from journal records (see OpenJournalWith):
+// completed runs keep their journaled result bytes as they are and return
+// them without executing; quarantined failures replay as *ReplayedError.
+// Retryable failures (timeout, deadlock) are NOT preloaded — a resume
+// retries them fresh. Later records win over earlier ones, matching append
+// order. Returns the number of runs restored.
 func (e *Engine) Preload(recs []Record) int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -281,10 +289,10 @@ func (e *Engine) Preload(recs []Record) int {
 		c := &call{done: make(chan struct{})}
 		switch rec.Status {
 		case StatusOK:
-			if rec.Result == nil {
+			if len(rec.Result) == 0 {
 				continue
 			}
-			c.res = rec.Result
+			c.data = rec.Result
 		case StatusFailed:
 			if rec.Cause == "timeout" || rec.Cause == "deadlock" || rec.Cause == "cancelled" {
 				continue // non-deterministic: re-execute on resume
@@ -319,8 +327,7 @@ func (e *Engine) Run(cfg sim.Config) (*sim.Result, error) {
 	if c, ok := e.calls[key]; ok {
 		e.stats.Hits++
 		e.mu.Unlock()
-		<-c.done
-		return c.res, c.err
+		return c.outcome()
 	}
 	c := &call{done: make(chan struct{})}
 	e.calls[key] = c
@@ -372,10 +379,7 @@ type Handle struct {
 func (h *Handle) Done() <-chan struct{} { return h.c.done }
 
 // Outcome blocks until the run is done and returns its terminal result.
-func (h *Handle) Outcome() (*sim.Result, error) {
-	<-h.c.done
-	return h.c.res, h.c.err
-}
+func (h *Handle) Outcome() (*sim.Result, error) { return h.c.outcome() }
 
 // Cancel withdraws this handle's interest. When the last interested handle
 // cancels, the in-flight run itself is cancelled at its next poll; its
@@ -429,27 +433,55 @@ func (e *Engine) SubmitKeyed(key string, cfg sim.Config, run RunFunc) *Handle {
 	return &Handle{Key: key, e: e, c: c}
 }
 
-// Peek reports whether key already has a terminal outcome in the memo,
-// without joining or counting a hit. An in-flight key returns done=false.
-func (e *Engine) Peek(key string) (res *sim.Result, err error, done bool) {
+// Peek returns the canonical result JSON of key's completed run, without
+// joining it or counting a memo hit; nil when the key is absent, still in
+// flight, or ended in an error.
+func (e *Engine) Peek(key string) json.RawMessage {
 	e.mu.Lock()
 	c, ok := e.calls[key]
 	e.mu.Unlock()
 	if !ok {
-		return nil, nil, false
+		return nil
 	}
 	select {
 	case <-c.done:
-		return c.res, c.err, true
+		return c.data
 	default:
-		return nil, nil, false
+		return nil
 	}
 }
 
-// execute runs the claimed call to its terminal outcome and publishes it.
+// outcome blocks until the call is done and returns its terminal result. A
+// preloaded result is decoded from its bytes once, by the first caller that
+// asks; a result that does not decode is that call's error.
+func (c *call) outcome() (*sim.Result, error) {
+	<-c.done
+	c.decode.Do(func() {
+		if c.res != nil || c.err != nil {
+			return
+		}
+		var res sim.Result
+		if err := json.Unmarshal(c.data, &res); err != nil {
+			c.err = fmt.Errorf("campaign: decode journaled result: %w", err)
+			return
+		}
+		c.res = &res
+	})
+	return c.res, c.err
+}
+
+// execute runs the claimed call to its terminal outcome and publishes it. An
+// OK result is encoded here, once: the memo, the journal and every server
+// answer share these bytes.
 func (e *Engine) execute(ctx context.Context, run RunFunc, cfg sim.Config, key string, c *call) (*sim.Result, error) {
 	res, err := e.supervised(ctx, run, cfg)
-	c.res, c.err = res, err
+	var data json.RawMessage
+	if err == nil {
+		if data, err = json.Marshal(res); err != nil {
+			res, err = nil, fmt.Errorf("campaign: encode result: %w", err)
+		}
+	}
+	c.res, c.data, c.err = res, data, err
 	if c.cancel != nil && Classify(err) == VerdictCancelled {
 		// A per-call cancellation must not pin the abandoned verdict: a later
 		// identical submission should execute fresh.
@@ -462,7 +494,7 @@ func (e *Engine) execute(ctx context.Context, run RunFunc, cfg sim.Config, key s
 	// Journal before publishing: a client that observes a terminal state is
 	// guaranteed the verdict is already durably appended (or counted in
 	// JournalErrors), never in flight.
-	e.journalOutcome(cfg, key, res, err)
+	e.journalOutcome(cfg, key, data, err)
 	close(c.done)
 	e.account(err)
 	return res, err
@@ -546,7 +578,7 @@ func (e *Engine) account(err error) {
 // journalOutcome appends the terminal outcome to the checkpoint journal.
 // Cancelled runs are deliberately not recorded: they carry no verdict, and a
 // resume must re-execute them.
-func (e *Engine) journalOutcome(cfg sim.Config, key string, res *sim.Result, err error) {
+func (e *Engine) journalOutcome(cfg sim.Config, key string, data json.RawMessage, err error) {
 	e.mu.Lock()
 	j := e.journal
 	e.mu.Unlock()
@@ -560,7 +592,7 @@ func (e *Engine) journalOutcome(cfg sim.Config, key string, res *sim.Result, err
 		rec.Error = err.Error()
 	} else {
 		rec.Status = StatusOK
-		rec.Result = res
+		rec.Result = data
 	}
 	if aerr := j.Append(rec); aerr != nil {
 		// The verdict still serves from memory; durability is gone for this

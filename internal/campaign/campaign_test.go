@@ -1,11 +1,14 @@
 package campaign
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -25,6 +28,25 @@ func cfgN(n int) sim.Config {
 // okResult builds a recognizable fake result for configuration n.
 func okResult(n int) *sim.Result {
 	return &sim.Result{Cycles: uint64(n), InstructionThroughput: float64(n) / 2}
+}
+
+// okJSON is okResult(n) as the canonical bytes a journal record carries.
+func okJSON(n int) json.RawMessage {
+	data, err := json.Marshal(okResult(n))
+	if err != nil {
+		panic(err)
+	}
+	return data
+}
+
+// cycles decodes a record's result bytes and returns its Cycles, or -1 when
+// the record carries no decodable result.
+func cycles(raw json.RawMessage) int {
+	var res sim.Result
+	if len(raw) == 0 || json.Unmarshal(raw, &res) != nil {
+		return -1
+	}
+	return int(res.Cycles)
 }
 
 // countingRun returns a RunFunc that counts executions per fingerprint and
@@ -222,12 +244,12 @@ func TestUncacheableBypassesMemo(t *testing.T) {
 // torn final line.
 func TestJournalRoundTrip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	j, err := OpenJournal(path, false)
+	j, _, err := OpenJournal(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	recs := []Record{
-		{Key: "k1", Scheme: "STT-64TSB", Bench: "x264", Status: StatusOK, Result: okResult(3)},
+		{Key: "k1", Scheme: "STT-64TSB", Bench: "x264", Status: StatusOK, Result: okJSON(3)},
 		{Key: "k2", Status: StatusFailed, Cause: "panic", Error: "boom"},
 	}
 	for _, r := range recs {
@@ -248,23 +270,28 @@ func TestJournalRoundTrip(t *testing.T) {
 	}
 	f.Close()
 
-	got, err := LoadJournal(path)
+	got, dropped, err := LoadJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 2 {
-		t.Fatalf("loaded %d records, want 2 (torn tail dropped)", len(got))
+	if len(got) != 2 || dropped != 1 {
+		t.Fatalf("loaded %d records, %d dropped, want 2 and 1 (torn tail dropped)", len(got), dropped)
 	}
-	if got[0].Key != "k1" || got[0].Result == nil || got[0].Result.Cycles != 3 {
-		t.Fatalf("record 0 = %+v, want journaled result back", got[0])
+	if got[0].Key != "k1" || !bytes.Equal(got[0].Result, okJSON(3)) {
+		t.Fatalf("record 0 = %+v, want journaled result bytes back", got[0])
 	}
 	if got[1].Cause != "panic" {
 		t.Fatalf("record 1 cause = %q, want panic", got[1].Cause)
 	}
 	// A missing journal is an empty resume, not an error.
-	if recs, err := LoadJournal(filepath.Join(t.TempDir(), "absent.jsonl")); err != nil || recs != nil {
+	if recs, _, err := LoadJournal(filepath.Join(t.TempDir(), "absent.jsonl")); err != nil || recs != nil {
 		t.Fatalf("LoadJournal(absent) = (%v, %v), want (nil, nil)", recs, err)
 	}
+	j2, recs, err := OpenJournal(filepath.Join(t.TempDir(), "absent.jsonl"), true)
+	if err != nil || recs != nil {
+		t.Fatalf("OpenJournal(absent, resume) = (%v, %v), want (nil, nil)", recs, err)
+	}
+	j2.Close()
 }
 
 // TestKillAndResume: a campaign interrupted partway re-executes zero
@@ -286,7 +313,7 @@ func TestKillAndResume(t *testing.T) {
 		}
 		return okResult(int(cfg.Seed)), nil
 	}))
-	j1, err := OpenJournal(path, false)
+	j1, _, err := OpenJournal(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +327,7 @@ func TestKillAndResume(t *testing.T) {
 
 	// Phase 2: resume. Journaled outcomes (2 ok + 1 fatal) must replay with
 	// zero re-execution; only the remaining 3 configs run.
-	recs, err := LoadJournal(path)
+	j2, recs, err := OpenJournal(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,10 +338,6 @@ func TestKillAndResume(t *testing.T) {
 	}))
 	if n := eng2.Preload(recs); n != 3 {
 		t.Fatalf("Preload restored %d runs, want 3", n)
-	}
-	j2, err := OpenJournal(path, true)
-	if err != nil {
-		t.Fatal(err)
 	}
 	eng2.AttachJournal(j2)
 	for i, cfg := range configs {
@@ -349,6 +372,64 @@ func TestKillAndResume(t *testing.T) {
 	}
 	if s := eng2.Stats(); s.Executed != 3 || s.Replayed != 3 {
 		t.Fatalf("stats = %+v, want 3 executed and 3 replayed", s)
+	}
+}
+
+// TestPreloadKeepsJournalBytes: a preloaded result is served as the journal
+// record's own bytes, decodes to the same struct on the first Run that asks,
+// and a result that does not decode is that run's error, not a panic.
+func TestPreloadKeepsJournalBytes(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	j, _, err := OpenJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, bad := cfgN(0), cfgN(1)
+	if err := j.Append(Record{Key: good.Fingerprint(), Status: StatusOK, Result: okJSON(5)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append(Record{Key: bad.Fingerprint(), Status: StatusOK, Result: json.RawMessage(`{"Cycles":"x"}`)}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+
+	j2, recs, err := OpenJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	eng := New(Policy{Jobs: 1})
+	eng.SetRunFunc(func(ctx context.Context, cfg sim.Config) (*sim.Result, error) {
+		t.Errorf("preloaded config %d executed", cfg.Seed)
+		return nil, errors.New("unexpected run")
+	})
+	defer eng.Close()
+	if n := eng.Preload(recs); n != 2 {
+		t.Fatalf("Preload restored %d runs, want 2", n)
+	}
+
+	if data := eng.Peek(good.Fingerprint()); !bytes.Equal(data, recs[0].Result) {
+		t.Fatalf("Peek = %s, want the journal record's bytes %s", data, recs[0].Result)
+	}
+	var want sim.Result
+	if err := json.Unmarshal(recs[0].Result, &want); err != nil {
+		t.Fatal(err)
+	}
+	res, err := eng.Run(good)
+	if err != nil || !reflect.DeepEqual(res, &want) {
+		t.Fatalf("Run = (%+v, %v), want the decoded journal result %+v", res, err, want)
+	}
+	if again, _ := eng.Run(good); again != res {
+		t.Fatal("second Run decoded the journaled result again")
+	}
+
+	for i := 0; i < 2; i++ { // the decode error sticks, it is not retried
+		if res, err := eng.Run(bad); err == nil || res != nil {
+			t.Fatalf("Run on an undecodable result = (%+v, %v), want an error", res, err)
+		}
+	}
+	if s := eng.Stats(); s.Executed != 0 || s.Replayed != 2 {
+		t.Fatalf("stats = %+v, want 0 executed and 2 replayed", s)
 	}
 }
 
@@ -396,7 +477,7 @@ func TestInterruptDrains(t *testing.T) {
 		<-ctx.Done()
 		return nil, ctx.Err()
 	})
-	j, err := OpenJournal(path, false)
+	j, _, err := OpenJournal(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,7 +504,7 @@ func TestInterruptDrains(t *testing.T) {
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := LoadJournal(path)
+	recs, _, err := LoadJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,11 +549,11 @@ func TestSubmitThenRunJoins(t *testing.T) {
 // clean boundary and the reloaded journal has no corrupt line at all.
 func TestJournalTornMiddle(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	j, err := OpenJournal(path, false)
+	j, _, err := OpenJournal(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(Record{Key: "k1", Status: StatusOK, Result: okResult(1)}); err != nil {
+	if err := j.Append(Record{Key: "k1", Status: StatusOK, Result: okJSON(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -491,11 +572,11 @@ func TestJournalTornMiddle(t *testing.T) {
 
 	// Resume: OpenJournal must repair the tail so the next append starts a
 	// fresh line rather than extending the fragment.
-	j2, err := OpenJournal(path, true)
+	j2, _, err := OpenJournal(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j2.Append(Record{Key: "k3", Status: StatusOK, Result: okResult(3)}); err != nil {
+	if err := j2.Append(Record{Key: "k3", Status: StatusOK, Result: okJSON(3)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j2.Append(Record{Key: "k4", Status: StatusFailed, Cause: "panic", Error: "boom"}); err != nil {
@@ -505,7 +586,7 @@ func TestJournalTornMiddle(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, dropped, err := LoadJournalEx(path)
+	recs, dropped, err := LoadJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -519,7 +600,7 @@ func TestJournalTornMiddle(t *testing.T) {
 	if len(recs) != 3 || keys[0] != "k1" || keys[1] != "k3" || keys[2] != "k4" {
 		t.Fatalf("loaded keys %v, want [k1 k3 k4] (records after the tear preserved)", keys)
 	}
-	if recs[1].Result == nil || recs[1].Result.Cycles != 3 {
+	if cycles(recs[1].Result) != 3 {
 		t.Fatalf("record k3 = %+v, want its journaled result intact", recs[1])
 	}
 }
@@ -560,11 +641,14 @@ func TestSubmitKeyedJoins(t *testing.T) {
 	if s := eng.Stats(); s.Hits != clients-1 {
 		t.Fatalf("stats = %+v, want %d memo hits", s, clients-1)
 	}
-	if res, err, done := eng.Peek("job-key"); !done || err != nil || res.Cycles != 7 {
-		t.Fatalf("Peek = (%v, %v, %v), want completed outcome", res, err, done)
+	if data := eng.Peek("job-key"); !bytes.Equal(data, okJSON(7)) {
+		t.Fatalf("Peek = %s, want the completed result's bytes", data)
 	}
-	if _, _, done := eng.Peek("absent"); done {
-		t.Fatal("Peek(absent) reported done")
+	if s := eng.Stats(); s.Hits != clients-1 {
+		t.Fatalf("Peek counted a memo hit: stats = %+v", s)
+	}
+	if data := eng.Peek("absent"); data != nil {
+		t.Fatalf("Peek(absent) = %s, want nil", data)
 	}
 }
 

@@ -36,13 +36,16 @@ const (
 // resolved configuration — or, for StatusLeased, the write-ahead note that a
 // distribution worker holds the job.
 type Record struct {
-	Key    string      `json:"key"`
-	Scheme string      `json:"scheme,omitempty"`
-	Bench  string      `json:"bench,omitempty"`
-	Status string      `json:"status"`
-	Cause  string      `json:"cause,omitempty"`
-	Error  string      `json:"error,omitempty"`
-	Result *sim.Result `json:"result,omitempty"`
+	Key    string `json:"key"`
+	Scheme string `json:"scheme,omitempty"`
+	Bench  string `json:"bench,omitempty"`
+	Status string `json:"status"`
+	Cause  string `json:"cause,omitempty"`
+	Error  string `json:"error,omitempty"`
+	// Result is a StatusOK record's sim.Result as its canonical JSON bytes:
+	// the engine memo and the serving layer hand these exact bytes on, so a
+	// replayed result is never decoded just to be encoded again.
+	Result json.RawMessage `json:"result,omitempty"`
 
 	// Lease bookkeeping (StatusLeased records only). Config is the full
 	// resolved configuration, embedded so a restarted coordinator can
@@ -189,9 +192,6 @@ type JournalOptions struct {
 	// FS is the filesystem seam (default the real one). Fault-injection
 	// tests substitute a failpoint.FaultFS.
 	FS failpoint.FS
-	// ReplayDropped records how many corrupt lines the startup load dropped,
-	// so Stats can report replay damage alongside live counters.
-	ReplayDropped int
 	// Logf receives operational diagnostics (default: discarded).
 	Logf func(format string, args ...any)
 }
@@ -226,7 +226,7 @@ type JournalStats struct {
 	// LastSyncAge is the time since the last successful fsync; negative
 	// when no fsync has happened yet.
 	LastSyncAge time.Duration
-	// ReplayDropped is the corrupt-line count from the startup load.
+	// ReplayDropped counts the torn or corrupt lines the resume pass dropped.
 	ReplayDropped int
 	// TruncatedBytes is the torn tail removed by the open-time repair.
 	TruncatedBytes int64
@@ -251,8 +251,8 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 // disk's failure modes:
 //
 //   - every record is written as one line "!<crc32c> <json>" whose checksum
-//     is verified at replay, so a torn or bit-flipped line is detected, not
-//     replayed (legacy lines without the prefix still load);
+//     is verified at replay, so a torn, bit-flipped or unframed line is
+//     dropped, not replayed;
 //   - a short write is repaired in place (truncate back to the last good
 //     record) and retried once, so a transiently torn disk still gets its
 //     record; persistent errors (ENOSPC, fsync failure) degrade the journal
@@ -271,25 +271,29 @@ type Journal struct {
 	f    failpoint.File
 	size int64
 
-	appended     uint64
-	appendErrors uint64
-	syncErrors   uint64
-	compactions  uint64
-	truncated    int64
-	lastSync     time.Time
-	degraded     error
+	appended      uint64
+	appendErrors  uint64
+	syncErrors    uint64
+	compactions   uint64
+	replayDropped int
+	truncated     int64
+	lastSync      time.Time
+	degraded      error
 }
 
-// OpenJournal opens path for appending records with default options. With
-// resume set, existing records are preserved (and should first be read back
-// via LoadJournal); otherwise the file is truncated and the campaign starts
-// fresh.
-func OpenJournal(path string, resume bool) (*Journal, error) {
+// OpenJournal opens path for appending records with default options; see
+// OpenJournalWith.
+func OpenJournal(path string, resume bool) (*Journal, []Record, error) {
 	return OpenJournalWith(path, resume, JournalOptions{})
 }
 
-// OpenJournalWith opens path with explicit durability options.
-func OpenJournalWith(path string, resume bool, opts JournalOptions) (*Journal, error) {
+// OpenJournalWith opens path with explicit durability options. Without
+// resume the file is truncated and the campaign starts fresh. With resume,
+// one pass reads the existing file: it returns every intact record in file
+// order (for Engine.Preload), counts the torn or corrupt lines it dropped in
+// Stats().ReplayDropped, and repairs a torn tail so the next append starts on
+// a clean boundary. A missing file resumes as an empty journal.
+func OpenJournalWith(path string, resume bool, opts JournalOptions) (*Journal, []Record, error) {
 	opts = opts.withDefaults()
 	// O_APPEND always: the torn-write repair truncates the file and retries,
 	// and only append mode guarantees the retry lands at the new EOF rather
@@ -300,39 +304,79 @@ func OpenJournalWith(path string, resume bool, opts JournalOptions) (*Journal, e
 	}
 	f, err := opts.FS.OpenFile(path, flags, 0o644)
 	if err != nil {
-		return nil, fmt.Errorf("campaign: open checkpoint journal: %w", err)
+		return nil, nil, fmt.Errorf("campaign: open checkpoint journal: %w", err)
 	}
 	j := &Journal{opts: opts, path: path, f: f}
 	if st, serr := f.Stat(); serr == nil {
 		j.size = st.Size()
 	}
-	if resume && j.size > 0 {
-		if err := j.repairTail(); err != nil {
-			f.Close()
-			return nil, fmt.Errorf("campaign: repair checkpoint journal tail: %w", err)
-		}
+	if !resume || j.size == 0 {
+		return j, nil, nil
 	}
-	return j, nil
+	sc, err := readJournal(opts.FS, path)
+	if err == nil {
+		err = j.repairTail(sc)
+	}
+	if err != nil {
+		f.Close()
+		return nil, nil, fmt.Errorf("campaign: resume checkpoint journal: %w", err)
+	}
+	j.replayDropped = sc.dropped
+	return j, sc.recs, nil
 }
 
-// repairTail scans the journal and removes any torn tail a crash left
-// behind: garbage after the last decodable record is truncated away, and a
-// final record whose newline was torn off is re-terminated. Mid-file
-// corruption (garbage followed by valid records) is left for the tolerant
-// loader — truncating there would discard good data.
-func (j *Journal) repairTail() error {
-	r, err := j.opts.FS.Open(j.path)
-	if err != nil {
-		return err
+// repairTail removes the torn tail a crash left behind: garbage after the
+// last intact record is truncated away, and a final record whose newline was
+// torn off is re-terminated. Mid-file corruption (garbage followed by intact
+// records) stays: the replay already skipped it, and truncating there would
+// discard good data.
+func (j *Journal) repairTail(sc journalScan) error {
+	switch {
+	case sc.unterminated:
+		// The tail is one intact but unterminated record: a torn newline.
+		// Re-terminate it rather than dropping a good verdict.
+		if _, err := j.f.Write([]byte{'\n'}); err != nil {
+			return err
+		}
+		j.size++
+	case sc.validEnd < j.size:
+		if err := j.f.Truncate(sc.validEnd); err != nil {
+			return err
+		}
+		j.truncated = j.size - sc.validEnd
+		j.opts.Logf("campaign: journal %s: truncated %d byte torn tail", j.path, j.truncated)
+		j.size = sc.validEnd
 	}
-	defer r.Close()
-	br := bufio.NewReaderSize(r, 1<<16)
-	var (
-		pos        int64 // bytes consumed so far
-		validEnd   int64 // end offset of the last decodable, terminated line
-		unterm     bool  // final line decodes but lacks its newline
-		untermEnds int64
-	)
+	return nil
+}
+
+// journalScan is what one pass over a journal file found.
+type journalScan struct {
+	recs    []Record // intact records, in file order
+	dropped int      // torn, corrupt or unframed lines skipped
+	// validEnd is the end offset of the last intact (or blank) terminated
+	// line; unterminated reports that the file ends in an intact record
+	// whose newline is missing.
+	validEnd     int64
+	unterminated bool
+}
+
+// readJournal reads a journal file line by line. Torn or corrupt lines — the
+// usual artefact of a killed process — are counted and skipped, not fatal:
+// corruption, even in the middle of the file, is confined to the damaged
+// line. A missing file is an empty journal.
+func readJournal(fsys failpoint.FS, path string) (journalScan, error) {
+	var sc journalScan
+	f, err := fsys.Open(path)
+	if err != nil {
+		if errors.Is(err, os.ErrNotExist) {
+			return sc, nil
+		}
+		return sc, fmt.Errorf("campaign: read checkpoint journal: %w", err)
+	}
+	defer f.Close()
+	br := bufio.NewReaderSize(f, 1<<16)
+	var pos int64 // bytes consumed so far
 	for {
 		line, rerr := br.ReadBytes('\n')
 		if len(line) > 0 {
@@ -341,65 +385,53 @@ func (j *Journal) repairTail() error {
 			body := bytes.TrimSpace(line)
 			if len(body) == 0 {
 				if terminated {
-					validEnd = pos // blank filler is harmless
+					sc.validEnd = pos // blank filler is harmless
 				}
-			} else if _, ok := decodeLine(body); ok {
+			} else if rec, ok := decodeLine(body); ok {
+				sc.recs = append(sc.recs, rec)
 				if terminated {
-					validEnd = pos
-					unterm = false
+					sc.validEnd = pos
 				} else {
-					unterm, untermEnds = true, pos
+					sc.unterminated = true
 				}
+			} else {
+				sc.dropped++
 			}
+		}
+		if rerr == io.EOF {
+			return sc, nil
 		}
 		if rerr != nil {
-			if rerr == io.EOF {
-				break
-			}
-			return rerr
+			return sc, fmt.Errorf("campaign: read checkpoint journal: %w", rerr)
 		}
 	}
-	switch {
-	case unterm && untermEnds == j.size:
-		// The whole tail is one valid-but-unterminated record: a torn
-		// newline. Re-terminate it rather than dropping a good verdict.
-		if _, err := j.f.Write([]byte{'\n'}); err != nil {
-			return err
-		}
-		j.size++
-	case validEnd < j.size:
-		if err := j.f.Truncate(validEnd); err != nil {
-			return err
-		}
-		j.truncated = j.size - validEnd
-		j.opts.Logf("campaign: journal %s: truncated %d byte torn tail", j.path, j.truncated)
-		j.size = validEnd
-	}
-	return nil
+}
+
+// LoadJournal reads a journal without opening it for appends or repairing
+// it: the intact records in file order and the count of dropped lines.
+func LoadJournal(path string) ([]Record, int, error) {
+	sc, err := readJournal(failpoint.OSFS{}, path)
+	return sc.recs, sc.dropped, err
 }
 
 // decodeLine parses one journal line (already whitespace-trimmed, non-empty)
-// into a record. Lines carrying the "!<8 hex crc32c> " prefix are verified
-// against their checksum; bare JSON lines are the legacy format and load
-// without one.
+// into a record. Only lines carrying the "!<8 hex crc32c> " prefix whose
+// checksum matches their payload decode.
 func decodeLine(line []byte) (Record, bool) {
 	var rec Record
-	if line[0] == '!' {
-		if len(line) < 11 || line[9] != ' ' {
-			return rec, false
-		}
-		var sum [4]byte
-		if _, err := hex.Decode(sum[:], line[1:9]); err != nil {
-			return rec, false
-		}
-		payload := line[10:]
-		want := uint32(sum[0])<<24 | uint32(sum[1])<<16 | uint32(sum[2])<<8 | uint32(sum[3])
-		if crc32.Checksum(payload, crcTable) != want {
-			return rec, false
-		}
-		line = payload
+	if len(line) < 11 || line[0] != '!' || line[9] != ' ' {
+		return rec, false
 	}
-	if err := json.Unmarshal(line, &rec); err != nil {
+	var sum [4]byte
+	if _, err := hex.Decode(sum[:], line[1:9]); err != nil {
+		return rec, false
+	}
+	payload := line[10:]
+	want := uint32(sum[0])<<24 | uint32(sum[1])<<16 | uint32(sum[2])<<8 | uint32(sum[3])
+	if crc32.Checksum(payload, crcTable) != want {
+		return rec, false
+	}
+	if err := json.Unmarshal(payload, &rec); err != nil {
 		return rec, false
 	}
 	return rec, true
@@ -422,61 +454,6 @@ func encodeLine(rec Record) ([]byte, error) {
 	line = append(line, payload...)
 	line = append(line, '\n')
 	return line, nil
-}
-
-// LoadJournal reads every intact record from a previous campaign's journal.
-// Torn or corrupt lines — the usual artefact of a killed process — are
-// skipped, not fatal: every other record still replays. A missing file is an
-// empty journal, not an error, so -resume works on the very first run.
-// Callers that want to report the dropped tail use LoadJournalEx.
-func LoadJournal(path string) ([]Record, error) {
-	recs, _, err := LoadJournalEx(path)
-	return recs, err
-}
-
-// LoadJournalEx is LoadJournal plus a count of dropped (undecodable or
-// checksum-failing) lines, so drivers can log how much of the checkpoint was
-// lost to a torn write. Decoding is line by line, so corruption — even in
-// the middle of the file — is confined to the damaged line itself.
-func LoadJournalEx(path string) ([]Record, int, error) {
-	return LoadJournalFS(failpoint.OSFS{}, path)
-}
-
-// LoadJournalFS is LoadJournalEx through an explicit filesystem seam.
-func LoadJournalFS(fsys failpoint.FS, path string) ([]Record, int, error) {
-	f, err := fsys.Open(path)
-	if err != nil {
-		if errors.Is(err, os.ErrNotExist) {
-			return nil, 0, nil
-		}
-		return nil, 0, fmt.Errorf("campaign: read checkpoint journal: %w", err)
-	}
-	defer f.Close()
-	var recs []Record
-	dropped := 0
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<16), 64<<20) // journaled Results are large
-	for sc.Scan() {
-		line := bytes.TrimSpace(sc.Bytes())
-		if len(line) == 0 {
-			continue
-		}
-		rec, ok := decodeLine(line)
-		if !ok {
-			dropped++
-			continue
-		}
-		recs = append(recs, rec)
-	}
-	if err := sc.Err(); err != nil {
-		if errors.Is(err, bufio.ErrTooLong) {
-			// A record bigger than the scan buffer cannot be replayed; treat
-			// it like any other undecodable tail rather than failing the load.
-			return recs, dropped + 1, nil
-		}
-		return recs, dropped, fmt.Errorf("campaign: read checkpoint journal: %w", err)
-	}
-	return recs, dropped, nil
 }
 
 // Append writes one checksummed record, applies the fsync policy, and folds
@@ -598,14 +575,14 @@ func (j *Journal) compactLocked() error {
 	if err := j.f.Sync(); err != nil {
 		return fmt.Errorf("pre-compaction sync: %w", err)
 	}
-	recs, dropped, err := LoadJournalFS(j.opts.FS, j.path)
+	sc, err := readJournal(j.opts.FS, j.path)
 	if err != nil {
 		return err
 	}
-	if dropped > 0 {
-		j.opts.Logf("campaign: journal %s: compaction dropped %d corrupt line(s)", j.path, dropped)
+	if sc.dropped > 0 {
+		j.opts.Logf("campaign: journal %s: compaction dropped %d corrupt line(s)", j.path, sc.dropped)
 	}
-	folded := CompactRecords(recs)
+	folded := CompactRecords(sc.recs)
 
 	tmp := j.path + ".compact"
 	tf, err := j.opts.FS.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
@@ -654,7 +631,7 @@ func (j *Journal) compactLocked() error {
 	j.size = newSize
 	j.compactions++
 	j.opts.Logf("campaign: journal %s: compacted %d -> %d records (%d -> %d bytes)",
-		j.path, len(recs), len(folded), oldSize, newSize)
+		j.path, len(sc.recs), len(folded), oldSize, newSize)
 	return nil
 }
 
@@ -689,7 +666,7 @@ func (j *Journal) Stats() JournalStats {
 		Compactions:    j.compactions,
 		SizeBytes:      j.size,
 		LastSyncAge:    -1,
-		ReplayDropped:  j.opts.ReplayDropped,
+		ReplayDropped:  j.replayDropped,
 		TruncatedBytes: j.truncated,
 		SyncPolicy:     j.opts.Sync.String(),
 	}

@@ -14,51 +14,17 @@ import (
 	"sttsim/internal/failpoint"
 )
 
-// TestJournalLegacyLinesLoad: journals written before the CRC format — bare
-// JSON lines — must keep loading, record for record.
-func TestJournalLegacyLinesLoad(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "legacy.jsonl")
-	legacy := `{"key":"k1","status":"ok","result":{"Config":{},"Cycles":7}}` + "\n" +
-		`{"key":"k2","status":"failed","cause":"panic","error":"boom"}` + "\n"
-	if err := os.WriteFile(path, []byte(legacy), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	recs, dropped, err := LoadJournalEx(path)
-	if err != nil || dropped != 0 || len(recs) != 2 {
-		t.Fatalf("legacy load = (%d recs, %d dropped, %v), want (2, 0, nil)", len(recs), dropped, err)
-	}
-	if recs[0].Key != "k1" || recs[0].Result == nil || recs[0].Result.Cycles != 7 ||
-		recs[1].Key != "k2" || recs[1].Status != StatusFailed {
-		t.Fatalf("legacy records decoded wrong: %+v", recs)
-	}
-
-	// A resumed journal appends CRC lines after the legacy ones; both load.
-	j, err := OpenJournal(path, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Append(Record{Key: "k3", Status: StatusOK, Result: okResult(3)}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Close(); err != nil {
-		t.Fatal(err)
-	}
-	recs, dropped, err = LoadJournalEx(path)
-	if err != nil || dropped != 0 || len(recs) != 3 || recs[2].Key != "k3" {
-		t.Fatalf("mixed-format load = (%d recs, %d dropped, %v), want all 3", len(recs), dropped, err)
-	}
-}
-
-// TestJournalCRCRejectsBitFlip: a corrupted byte inside a checksummed line
-// drops exactly that record at replay instead of replaying garbage.
+// TestJournalCRCRejectsBitFlip: a corrupted byte inside a checksummed line,
+// or a bare JSON line without the checksum frame, drops exactly that record
+// at replay instead of replaying it.
 func TestJournalCRCRejectsBitFlip(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "crc.jsonl")
-	j, err := OpenJournal(path, false)
+	j, _, err := OpenJournal(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := j.Append(Record{Key: fmt.Sprintf("k%d", i), Status: StatusOK, Result: okResult(i)}); err != nil {
+		if err := j.Append(Record{Key: fmt.Sprintf("k%d", i), Status: StatusOK, Result: okJSON(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -79,16 +45,33 @@ func TestJournalCRCRejectsBitFlip(t *testing.T) {
 		t.Fatalf("no Cycles field in %q", mid)
 	}
 	mid[i+len(`"Cycles":`)] ^= 1 // digit -> different digit
-	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
+	// An unframed line — the journal format before checksums — is corrupt
+	// too, in the middle of the file as at its tail.
+	bare := []byte(`{"key":"bare","status":"ok","result":{"Cycles":5}}` + "\n")
+	lines = append(lines[:2], append([][]byte{bare}, lines[2:]...)...)
+	if err := os.WriteFile(path, bytes.Join(append(lines, bare), nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
-	recs, dropped, err := LoadJournalEx(path)
+	recs, dropped, err := LoadJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if dropped != 1 || len(recs) != 2 || recs[0].Key != "k0" || recs[1].Key != "k2" {
-		t.Fatalf("load after bit flip = (%d recs, %d dropped), want the flipped record dropped", len(recs), dropped)
+	if dropped != 3 || len(recs) != 2 || recs[0].Key != "k0" || recs[1].Key != "k2" {
+		t.Fatalf("load after bit flip = (%d recs, %d dropped), want the flipped and both bare records dropped", len(recs), dropped)
+	}
+
+	// A resume drops the same lines, reports them, and truncates the bare
+	// tail line.
+	j2, recs, err := OpenJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := j2.Stats()
+	j2.Close()
+	if len(recs) != 2 || st.ReplayDropped != 3 || st.TruncatedBytes != int64(len(bare)) {
+		t.Fatalf("resume = (%d recs, %d dropped, %d truncated), want (2, 3, %d)",
+			len(recs), st.ReplayDropped, st.TruncatedBytes, len(bare))
 	}
 }
 
@@ -96,11 +79,11 @@ func TestJournalCRCRejectsBitFlip(t *testing.T) {
 // newline must not cost the record — open-time repair re-terminates it.
 func TestJournalTornNewlineReterminated(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "nl.jsonl")
-	j, err := OpenJournal(path, false)
+	j, _, err := OpenJournal(path, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j.Append(Record{Key: "k1", Status: StatusOK, Result: okResult(1)}); err != nil {
+	if err := j.Append(Record{Key: "k1", Status: StatusOK, Result: okJSON(1)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j.Close(); err != nil {
@@ -114,17 +97,17 @@ func TestJournalTornNewlineReterminated(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j2, err := OpenJournal(path, true)
+	j2, _, err := OpenJournal(path, true)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := j2.Append(Record{Key: "k2", Status: StatusOK, Result: okResult(2)}); err != nil {
+	if err := j2.Append(Record{Key: "k2", Status: StatusOK, Result: okJSON(2)}); err != nil {
 		t.Fatal(err)
 	}
 	if err := j2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, dropped, err := LoadJournalEx(path)
+	recs, dropped, err := LoadJournal(path)
 	if err != nil || dropped != 0 || len(recs) != 2 || recs[0].Key != "k1" || recs[1].Key != "k2" {
 		t.Fatalf("load = (%d recs, %d dropped, %v), want both records intact", len(recs), dropped, err)
 	}
@@ -136,7 +119,7 @@ func TestJournalShortWriteRepairedAndRetried(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "short.jsonl")
 	script := failpoint.NewDiskScript(1)
 	script.ShortWriteProb = 0.5 // some first attempts tear; most retries land
-	j, err := OpenJournalWith(path, false, JournalOptions{
+	j, _, err := OpenJournalWith(path, false, JournalOptions{
 		FS: &failpoint.FaultFS{Inner: failpoint.OSFS{}, Script: script},
 	})
 	if err != nil {
@@ -149,7 +132,7 @@ func TestJournalShortWriteRepairedAndRetried(t *testing.T) {
 	var accepted []string
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("k%d", i)
-		if err := j.Append(Record{Key: key, Status: StatusOK, Result: okResult(i)}); err != nil {
+		if err := j.Append(Record{Key: key, Status: StatusOK, Result: okJSON(i)}); err != nil {
 			break
 		}
 		accepted = append(accepted, key)
@@ -162,7 +145,7 @@ func TestJournalShortWriteRepairedAndRetried(t *testing.T) {
 	}
 	j.Close()
 
-	recs, dropped, err := LoadJournalEx(path)
+	recs, dropped, err := LoadJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,18 +168,18 @@ func TestJournalENOSPCDegrades(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "enospc.jsonl")
 	script := failpoint.NewDiskScript(1)
 	script.ENOSPCAfterWrites = 2
-	j, err := OpenJournalWith(path, false, JournalOptions{
+	j, _, err := OpenJournalWith(path, false, JournalOptions{
 		FS: &failpoint.FaultFS{Inner: failpoint.OSFS{}, Script: script},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := j.Append(Record{Key: fmt.Sprintf("k%d", i), Status: StatusOK, Result: okResult(i)}); err != nil {
+		if err := j.Append(Record{Key: fmt.Sprintf("k%d", i), Status: StatusOK, Result: okJSON(i)}); err != nil {
 			t.Fatalf("append %d before the cliff: %v", i, err)
 		}
 	}
-	err = j.Append(Record{Key: "k2", Status: StatusOK, Result: okResult(2)})
+	err = j.Append(Record{Key: "k2", Status: StatusOK, Result: okJSON(2)})
 	if !errors.Is(err, ErrJournalDegraded) || !errors.Is(err, syscall.ENOSPC) {
 		t.Fatalf("append at the cliff = %v, want ErrJournalDegraded wrapping ENOSPC", err)
 	}
@@ -209,7 +192,7 @@ func TestJournalENOSPCDegrades(t *testing.T) {
 	}
 	j.Close()
 
-	recs, dropped, err := LoadJournalEx(path)
+	recs, dropped, err := LoadJournal(path)
 	if err != nil || dropped != 0 || len(recs) != 2 {
 		t.Fatalf("replay = (%d recs, %d dropped, %v), want the 2 pre-cliff records", len(recs), dropped, err)
 	}
@@ -221,14 +204,14 @@ func TestJournalSyncErrorDegrades(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "sync.jsonl")
 	script := failpoint.NewDiskScript(1)
 	script.SyncErrorProb = 1
-	j, err := OpenJournalWith(path, false, JournalOptions{
+	j, _, err := OpenJournalWith(path, false, JournalOptions{
 		Sync: SyncAlways,
 		FS:   &failpoint.FaultFS{Inner: failpoint.OSFS{}, Script: script},
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = j.Append(Record{Key: "k1", Status: StatusOK, Result: okResult(1)})
+	err = j.Append(Record{Key: "k1", Status: StatusOK, Result: okJSON(1)})
 	if !errors.Is(err, ErrJournalDegraded) {
 		t.Fatalf("append with failing fsync = %v, want ErrJournalDegraded", err)
 	}
@@ -243,7 +226,7 @@ func TestJournalSyncErrorDegrades(t *testing.T) {
 // and keeps accepting appends afterward.
 func TestJournalCompactionBoundsReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "compact.jsonl")
-	j, err := OpenJournalWith(path, false, JournalOptions{MaxBytes: 4 << 10})
+	j, _, err := OpenJournalWith(path, false, JournalOptions{MaxBytes: 4 << 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +234,7 @@ func TestJournalCompactionBoundsReplay(t *testing.T) {
 	// k-odd's latest is ok(49), plus a trailing pending lease on k-pending.
 	for i := 0; i < 50; i++ {
 		key := fmt.Sprintf("k-%s", []string{"even", "odd"}[i%2])
-		if err := j.Append(Record{Key: key, Status: StatusOK, Result: okResult(i)}); err != nil {
+		if err := j.Append(Record{Key: key, Status: StatusOK, Result: okJSON(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -267,7 +250,7 @@ func TestJournalCompactionBoundsReplay(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, dropped, err := LoadJournalEx(path)
+	recs, dropped, err := LoadJournal(path)
 	if err != nil || dropped != 0 {
 		t.Fatalf("replay = (%v, %d dropped), want clean", err, dropped)
 	}
@@ -282,8 +265,8 @@ func TestJournalCompactionBoundsReplay(t *testing.T) {
 	for _, rec := range recs {
 		latest[rec.Key] = rec
 	}
-	if latest["k-even"].Result == nil || latest["k-even"].Result.Cycles != 48 ||
-		latest["k-odd"].Result == nil || latest["k-odd"].Result.Cycles != 49 {
+	// Compaction carries the result bytes through verbatim.
+	if !bytes.Equal(latest["k-even"].Result, okJSON(48)) || !bytes.Equal(latest["k-odd"].Result, okJSON(49)) {
 		t.Fatalf("latest terminals wrong after compaction: %+v", latest)
 	}
 	if pend := PendingLeases(recs); len(pend) != 1 || pend[0].Key != "k-pending" || pend[0].Epoch != 3 {
@@ -299,11 +282,11 @@ func TestJournalCompactionBoundsReplay(t *testing.T) {
 func TestCompactRecords(t *testing.T) {
 	recs := []Record{
 		{Key: "a", Status: StatusLeased, Epoch: 1},
-		{Key: "a", Status: StatusOK, Result: okResult(1)},
+		{Key: "a", Status: StatusOK, Result: okJSON(1)},
 		{Key: "b", Status: StatusFailed, Cause: "panic"},
 		{Key: "b", Status: StatusLeased, Epoch: 2}, // pending: after b's terminal
 		{Key: "c", Status: StatusLeased, Epoch: 1},
-		{Key: "a", Status: StatusOK, Result: okResult(2)}, // supersedes a's first ok
+		{Key: "a", Status: StatusOK, Result: okJSON(2)}, // supersedes a's first ok
 	}
 	folded := CompactRecords(recs)
 	var desc []string
@@ -315,7 +298,7 @@ func TestCompactRecords(t *testing.T) {
 	if got != want {
 		t.Fatalf("folded = %q, want %q", got, want)
 	}
-	if folded[0].Result == nil || folded[0].Result.Cycles != 2 {
+	if cycles(folded[0].Result) != 2 {
 		t.Fatalf("a's folded terminal = %+v, want the latest (Cycles=2)", folded[0])
 	}
 	// Folding must preserve replay semantics: same pending leases.
@@ -333,11 +316,11 @@ func TestJournalSyncPolicies(t *testing.T) {
 	}{{SyncNever, "never"}, {SyncInterval, "interval"}, {SyncAlways, "always"}} {
 		t.Run(tc.name, func(t *testing.T) {
 			path := filepath.Join(t.TempDir(), "p.jsonl")
-			j, err := OpenJournalWith(path, false, JournalOptions{Sync: tc.policy, SyncEvery: time.Hour})
+			j, _, err := OpenJournalWith(path, false, JournalOptions{Sync: tc.policy, SyncEvery: time.Hour})
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := j.Append(Record{Key: "k", Status: StatusOK, Result: okResult(1)}); err != nil {
+			if err := j.Append(Record{Key: "k", Status: StatusOK, Result: okJSON(1)}); err != nil {
 				t.Fatal(err)
 			}
 			st := j.Stats()
@@ -354,7 +337,7 @@ func TestJournalSyncPolicies(t *testing.T) {
 			if err := j.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if recs, _, _ := LoadJournalEx(path); len(recs) != 1 {
+			if recs, _, _ := LoadJournal(path); len(recs) != 1 {
 				t.Fatalf("replay = %d records, want 1", len(recs))
 			}
 		})
@@ -374,11 +357,12 @@ func TestJournalSyncPolicies(t *testing.T) {
 // loads, the sentinel loads, and no terminal record appears that was not
 // either present before or the sentinel itself.
 func FuzzJournalReplay(f *testing.F) {
-	// Corpus: a healthy CRC journal, a legacy journal, torn variants.
+	// Corpus: a healthy CRC journal, torn variants, and a bare JSON line
+	// (the format before checksums), which must be dropped.
 	seedDir := f.TempDir()
 	mk := func(name string, write func(j *Journal)) []byte {
 		path := filepath.Join(seedDir, name)
-		j, err := OpenJournal(path, false)
+		j, _, err := OpenJournal(path, false)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -392,7 +376,7 @@ func FuzzJournalReplay(f *testing.F) {
 	}
 	healthy := mk("a", func(j *Journal) {
 		cfg := cfgN(1)
-		j.Append(Record{Key: "k1", Status: StatusOK, Result: okResult(1)})
+		j.Append(Record{Key: "k1", Status: StatusOK, Result: okJSON(1)})
 		j.Append(Record{Key: "k2", Status: StatusLeased, Worker: "w", Epoch: 1, Config: &cfg})
 		j.Append(Record{Key: "k2", Status: StatusFailed, Cause: "panic", Error: "boom"})
 	})
@@ -407,9 +391,9 @@ func FuzzJournalReplay(f *testing.F) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Skip()
 		}
-		before, _, err := LoadJournalEx(path)
+		before, _, err := LoadJournal(path)
 		if err != nil {
-			return // scanner-level error (e.g. oversized line): nothing to invariant-check
+			return // read error: nothing to invariant-check
 		}
 		terminalsBefore := 0
 		for _, rec := range before {
@@ -418,7 +402,7 @@ func FuzzJournalReplay(f *testing.F) {
 			}
 		}
 
-		j, err := OpenJournal(path, true)
+		j, _, err := OpenJournal(path, true)
 		if err != nil {
 			t.Fatalf("repair-open failed on loadable input: %v", err)
 		}
@@ -429,7 +413,7 @@ func FuzzJournalReplay(f *testing.F) {
 			t.Fatalf("close: %v", err)
 		}
 
-		after, _, err := LoadJournalEx(path)
+		after, _, err := LoadJournal(path)
 		if err != nil {
 			t.Fatalf("replay after repair: %v", err)
 		}

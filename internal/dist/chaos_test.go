@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"sttsim/internal/campaign"
+	api "sttsim/pkg/sttsim"
 )
 
 // TestChaosKillWorkerMidJob is the robustness acceptance test, run against
@@ -107,7 +108,7 @@ func TestChaosKillWorkerMidJob(t *testing.T) {
 	stopProc(t, coord)
 	var leaseEpochs []uint64
 	terminal := 0
-	recs, dropped, err := campaign.LoadJournalEx(journal)
+	recs, dropped, err := campaign.LoadJournal(journal)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -210,7 +211,7 @@ func stopProc(t *testing.T, cmd *exec.Cmd) {
 
 func waitHealthy(t *testing.T, addr string) {
 	t.Helper()
-	waitHTTP(t, "http://"+addr+"/v1/healthz", http.StatusOK)
+	waitHTTP(t, "http://"+addr+"/v1/healthz/live", http.StatusOK)
 }
 
 func waitReady(t *testing.T, addr string) {
@@ -300,7 +301,7 @@ func getResult(t *testing.T, addr, id string) []byte {
 
 // statsPayload is the slice of /v1/stats the chaos test reads.
 type statsPayload struct {
-	Dist *Stats `json:"dist"`
+	Dist *api.DistStats `json:"dist"`
 }
 
 func getStats(t *testing.T, addr string) statsPayload {

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"sttsim/internal/sim"
+	api "sttsim/pkg/sttsim"
 )
 
 // TableOptions tunes the coordinator's lease table.
@@ -38,28 +39,6 @@ func (o TableOptions) withDefaults() TableOptions {
 		o.Now = time.Now
 	}
 	return o
-}
-
-// Stats snapshots the table's counters for /v1/stats.
-type Stats struct {
-	WorkersAlive    int            `json:"workers_alive"`
-	Queued          int            `json:"queued"`
-	Leased          int            `json:"leased"`
-	Delivered       uint64         `json:"delivered"`   // leases handed out, incl. re-deliveries
-	Redelivered     uint64         `json:"redelivered"` // jobs re-queued after a lost or drained worker
-	Expired         uint64         `json:"expired"`     // leases whose deadline lapsed
-	Fenced          uint64         `json:"fenced"`      // stale completions rejected by epoch fencing
-	StaleHeartbeats uint64         `json:"stale_heartbeats"`
-	Completed       uint64         `json:"completed"`
-	Workers         []WorkerStatus `json:"workers,omitempty"`
-}
-
-// WorkerStatus is one worker's liveness row in Stats.
-type WorkerStatus struct {
-	ID        string  `json:"id"`
-	Alive     bool    `json:"alive"`
-	Lease     string  `json:"lease,omitempty"` // key currently held, if any
-	LastSeenS float64 `json:"last_seen_s"`
 }
 
 type taskState int
@@ -105,7 +84,7 @@ type Table struct {
 	queue    []*task
 	workers  map[string]*workerState
 	notifyCh chan struct{} // closed+replaced to wake long-polling leases
-	stats    Stats
+	stats    api.DistStats // counters; Snapshot fills in the gauges
 
 	// epochFloor is the highest lease epoch ever observed per key (seeded
 	// from journal records on restart, advanced on every delivery). New
@@ -481,8 +460,8 @@ func (tb *Table) workersAliveLocked() int {
 	return n
 }
 
-// Snapshot assembles the Stats payload.
-func (tb *Table) Snapshot() Stats {
+// Snapshot assembles the lease table's block of /v1/stats.
+func (tb *Table) Snapshot() api.DistStats {
 	tb.mu.Lock()
 	defer tb.mu.Unlock()
 	now := tb.opts.Now()
@@ -495,9 +474,9 @@ func (tb *Table) Snapshot() Stats {
 		}
 	}
 	st.WorkersAlive = tb.workersAliveLocked()
-	st.Workers = make([]WorkerStatus, 0, len(tb.workers))
+	st.Workers = make([]api.WorkerStatus, 0, len(tb.workers))
 	for id, ws := range tb.workers {
-		st.Workers = append(st.Workers, WorkerStatus{
+		st.Workers = append(st.Workers, api.WorkerStatus{
 			ID:        id,
 			Alive:     now.Sub(ws.lastSeen) <= tb.opts.LeaseTimeout,
 			Lease:     ws.lease,

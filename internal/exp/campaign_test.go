@@ -104,7 +104,7 @@ func TestResumeSkipsJournaledRuns(t *testing.T) {
 	ckpt := filepath.Join(t.TempDir(), "ckpt.jsonl")
 
 	first := campaignRunner(t, 4)
-	j, err := campaign.OpenJournal(ckpt, false)
+	j, _, err := campaign.OpenJournal(ckpt, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestResumeSkipsJournaledRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, err := campaign.LoadJournal(ckpt)
+	recs, _, err := campaign.LoadJournal(ckpt)
 	if err != nil {
 		t.Fatal(err)
 	}

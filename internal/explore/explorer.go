@@ -92,19 +92,13 @@ func (x *Explorer) Run(ctx context.Context) (*Report, error) {
 	eng := campaign.NewWithContext(ctx, x.Policy)
 	defer eng.Close()
 	if x.JournalPath != "" {
-		if x.Resume {
-			recs, dropped, err := campaign.LoadJournalEx(x.JournalPath)
-			if err != nil {
-				return nil, err
-			}
-			if n := eng.Preload(recs); n > 0 || dropped > 0 {
-				logf("explore: resumed %d finished evaluation(s) from %s (%d corrupt line(s) dropped)",
-					n, x.JournalPath, dropped)
-			}
-		}
-		j, err := campaign.OpenJournal(x.JournalPath, x.Resume)
+		j, recs, err := campaign.OpenJournal(x.JournalPath, x.Resume)
 		if err != nil {
 			return nil, err
+		}
+		if n, dropped := eng.Preload(recs), j.Stats().ReplayDropped; n > 0 || dropped > 0 {
+			logf("explore: resumed %d finished evaluation(s) from %s (%d corrupt line(s) dropped)",
+				n, x.JournalPath, dropped)
 		}
 		eng.AttachJournal(j)
 	}

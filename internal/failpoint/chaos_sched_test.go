@@ -153,7 +153,7 @@ func runChaosSchedule(t *testing.T, seed int64) {
 	// threshold also derive from the seed, so all three policies see chaos.
 	policy := []campaign.SyncPolicy{campaign.SyncNever, campaign.SyncInterval, campaign.SyncAlways}[seed%3]
 	jpath := filepath.Join(t.TempDir(), "ckpt.jsonl")
-	jrn, err := campaign.OpenJournalWith(jpath, false, campaign.JournalOptions{
+	jrn, _, err := campaign.OpenJournalWith(jpath, false, campaign.JournalOptions{
 		Sync:      policy,
 		SyncEvery: 5 * time.Millisecond,
 		MaxBytes:  16 << 10,
@@ -305,7 +305,7 @@ func runChaosSchedule(t *testing.T, seed int64) {
 	// Journal invariants. The file must parse cleanly even after injected
 	// faults: the repair path truncates every torn write it survives, and a
 	// degrading fault truncates before giving up.
-	recs, dropped, err := campaign.LoadJournalEx(jpath)
+	recs, dropped, err := campaign.LoadJournal(jpath)
 	if err != nil {
 		t.Fatalf("replay journal: %v", err)
 	}

@@ -1,13 +1,14 @@
 // Package service is the simulation-as-a-service layer: an HTTP/JSON front
 // end that accepts parameterized runs, validates and fingerprints them,
 // executes them on the campaign engine behind a bounded queue, dedups
-// identical configurations through the singleflight memo and a size-bounded
-// result cache, and streams live progress to clients over SSE.
+// identical configurations through the engine's singleflight memo — which
+// also answers every completed configuration with its canonical result
+// bytes — and streams live progress to clients over SSE.
 //
 // The daemon binary is cmd/sttsimd; this package holds everything testable:
-// the spec-to-config conversion (api.go), the LRU result cache (cache.go),
-// the progress hub and SSE fan-out (hub.go, progress.go), per-client rate
-// limiting (ratelimit.go), and the HTTP server itself (server.go).
+// the spec-to-config conversion (api.go), the progress hub and SSE fan-out
+// (hub.go, progress.go), per-client rate limiting (ratelimit.go), the HTTP
+// server itself (server.go) and its coordinator mode (coordinator.go).
 //
 // The wire types themselves live in pkg/sttsim — the public client SDK —
 // and are aliased here, so the structs the server marshals are the structs
@@ -21,7 +22,6 @@ import (
 	"time"
 
 	"sttsim/internal/core"
-	"sttsim/internal/dist"
 	"sttsim/internal/sim"
 	"sttsim/internal/workload"
 	api "sttsim/pkg/sttsim"
@@ -149,29 +149,6 @@ func SpecConfig(s JobSpec) (sim.Config, error) {
 		return sim.Config{}, err
 	}
 	return cfg, nil
-}
-
-// distStatsWire converts the lease table's snapshot into its wire mirror.
-// The field-for-field JSON equivalence of the two types is pinned by
-// TestDistStatsWireEquivalence.
-func distStatsWire(ds dist.Stats) *DistStats {
-	out := &DistStats{
-		WorkersAlive:    ds.WorkersAlive,
-		Queued:          ds.Queued,
-		Leased:          ds.Leased,
-		Delivered:       ds.Delivered,
-		Redelivered:     ds.Redelivered,
-		Expired:         ds.Expired,
-		Fenced:          ds.Fenced,
-		StaleHeartbeats: ds.StaleHeartbeats,
-		Completed:       ds.Completed,
-	}
-	for _, w := range ds.Workers {
-		out.Workers = append(out.Workers, api.WorkerStatus{
-			ID: w.ID, Alive: w.Alive, Lease: w.Lease, LastSeenS: w.LastSeenS,
-		})
-	}
-	return out
 }
 
 // fmtTime renders timestamps consistently (RFC 3339, UTC).

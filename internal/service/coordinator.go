@@ -72,7 +72,7 @@ func (s *Server) distRun(key string, stream bool) campaign.RunFunc {
 // RequeuePending re-submits jobs whose write-ahead lease records have no
 // terminal verdict — the work a previous coordinator process handed out but
 // never saw finish. The jobs re-enter the normal engine path (singleflight,
-// journal, cache), just with no client job records attached; clients
+// journal, memo), just with no client job records attached; clients
 // re-submitting the same configuration dedup onto the in-flight run. Returns
 // how many jobs were re-queued.
 func (s *Server) RequeuePending(recs []campaign.Record) int {
@@ -104,24 +104,16 @@ func (s *Server) RequeuePending(recs []campaign.Record) int {
 			s.opts.Logf("service: pending lease %s: config fingerprint mismatch; dropping", rec.Key)
 			continue
 		}
-		if _, ok := s.cache.Get(rec.Key); ok {
-			continue
-		}
 		handle := s.eng.SubmitKeyed(rec.Key, cfg, s.distRun(rec.Key, false))
 		s.mu.Lock()
 		s.pending++
 		s.mu.Unlock()
-		go func(key string) {
-			res, err := handle.Outcome()
-			if err == nil && res != nil {
-				if data, merr := json.Marshal(res); merr == nil {
-					s.cache.PutIfAbsent(key, data)
-				}
-			}
+		go func() {
+			<-handle.Done()
 			s.mu.Lock()
 			s.pending--
 			s.mu.Unlock()
-		}(rec.Key)
+		}()
 		n++
 	}
 	return n

@@ -213,7 +213,7 @@ func TestZombieFencingNeverDoubleJournals(t *testing.T) {
 	advance := func(d time.Duration) { mu.Lock(); now = now.Add(d); mu.Unlock() }
 
 	journalPath := filepath.Join(t.TempDir(), "journal.jsonl")
-	jrn, err := campaign.OpenJournal(journalPath, false)
+	jrn, _, err := campaign.OpenJournal(journalPath, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestZombieFencingNeverDoubleJournals(t *testing.T) {
 	if err := jrn.Close(); err != nil {
 		t.Fatal(err)
 	}
-	recs, err := campaign.LoadJournal(journalPath)
+	recs, _, err := campaign.LoadJournal(journalPath)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -327,7 +327,8 @@ func TestZombieFencingNeverDoubleJournals(t *testing.T) {
 	if len(terminals) != 1 {
 		t.Fatalf("terminal records = %d, want exactly 1", len(terminals))
 	}
-	if terminals[0].Status != campaign.StatusOK || terminals[0].Result == nil || terminals[0].Result.Cycles != 400 {
+	var journaled sim.Result
+	if terminals[0].Status != campaign.StatusOK || json.Unmarshal(terminals[0].Result, &journaled) != nil || journaled.Cycles != 400 {
 		t.Fatalf("terminal record = %+v, want w2's ok result", terminals[0])
 	}
 	if pend := campaign.PendingLeases(recs); len(pend) != 0 {
@@ -409,12 +410,12 @@ func TestCoordinatorRequeuePendingFromJournal(t *testing.T) {
 	})
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {
-		if _, ok := srv.Cache().Get(key); ok {
+		if srv.eng.Peek(key) != nil {
 			return
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
-	t.Fatal("re-queued job never completed into the cache")
+	t.Fatal("re-queued job never completed into the memo")
 }
 
 // TestReadiness: liveness always answers 200; readiness answers 503 for a

@@ -13,12 +13,12 @@ import (
 // TestJournalDegradedServesCacheOnly is the ENOSPC acceptance path: the disk
 // fills mid-campaign, the journal degrades instead of panicking or leaving a
 // partial record, /ready flips to 503, new jobs are rejected, and previously
-// completed configurations keep serving from the result cache.
+// completed configurations keep serving from the engine memo.
 func TestJournalDegradedServesCacheOnly(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
 	script := failpoint.NewDiskScript(1)
 	script.ENOSPCAfterWrites = 1 // first record lands, the second hits the cliff
-	jrn, err := campaign.OpenJournalWith(path, false, campaign.JournalOptions{
+	jrn, _, err := campaign.OpenJournalWith(path, false, campaign.JournalOptions{
 		FS: &failpoint.FaultFS{Inner: failpoint.OSFS{}, Script: script},
 	})
 	if err != nil {
@@ -106,7 +106,7 @@ func TestJournalDegradedServesCacheOnly(t *testing.T) {
 	}
 
 	// No partial record is visible to replay: exactly job A's line, clean.
-	recs, dropped, err := campaign.LoadJournalEx(path)
+	recs, dropped, err := campaign.LoadJournal(path)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"sttsim/internal/campaign"
@@ -31,9 +32,6 @@ type Options struct {
 	// MaxQueue bounds queued+running jobs; beyond it POST /v1/jobs returns
 	// 429 with Retry-After (backpressure). Default 64.
 	MaxQueue int
-	// CacheSize / CacheTTL shape the LRU result cache (defaults 256 / 1h).
-	CacheSize int
-	CacheTTL  time.Duration
 	// RatePerSec / RateBurst is the per-client token bucket; 0 disables.
 	RatePerSec float64
 	RateBurst  int
@@ -49,7 +47,7 @@ type Options struct {
 	MaxJobs int
 	// MaxBodyBytes bounds request bodies (default 1 MiB).
 	MaxBodyBytes int64
-	// Version is reported by /v1/healthz.
+	// Version is reported by /v1/healthz/live and /v1/healthz/ready.
 	Version string
 	// Run executes one simulation (default sim.RunContext) — test hook.
 	Run campaign.RunFunc
@@ -60,7 +58,7 @@ type Options struct {
 	// Journal, when set, lets the server observe the checkpoint journal's
 	// health: /v1/stats reports its counters, and a degraded journal (disk
 	// full, failed fsync) flips /ready to 503 and rejects new jobs while
-	// cached results keep serving. The engine still owns the journal's
+	// completed results keep serving. The engine still owns the journal's
 	// lifecycle; this is a read-only view.
 	Journal *campaign.Journal
 	// Logf receives operational diagnostics (default: discarded).
@@ -70,12 +68,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.MaxQueue <= 0 {
 		o.MaxQueue = 64
-	}
-	if o.CacheSize <= 0 {
-		o.CacheSize = 256
-	}
-	if o.CacheTTL == 0 {
-		o.CacheTTL = time.Hour
 	}
 	if o.RequestTimeout <= 0 {
 		o.RequestTimeout = 30 * time.Second
@@ -131,7 +123,6 @@ type job struct {
 type Server struct {
 	opts    Options
 	eng     *campaign.Engine
-	cache   *ResultCache
 	hub     *Hub
 	limiter *RateLimiter
 	dist    *dist.Table // nil in standalone mode
@@ -148,6 +139,10 @@ type Server struct {
 	pending   int      // queued+running (the backpressure gauge)
 	draining  bool
 	latencies map[string][]float64 // per-scheme execution wall seconds
+
+	// Cache counters, taken at submit: a hit was answered from the memo at
+	// once, a miss was not.
+	hits, misses atomic.Uint64
 }
 
 // latencySamples bounds the per-scheme latency reservoir.
@@ -162,7 +157,6 @@ func NewServer(opts Options) (*Server, error) {
 	s := &Server{
 		opts:      opts,
 		eng:       opts.Engine,
-		cache:     NewResultCache(opts.CacheSize, opts.CacheTTL),
 		hub:       NewHub(),
 		limiter:   NewRateLimiter(opts.RatePerSec, opts.RateBurst),
 		dist:      opts.Dist,
@@ -179,29 +173,6 @@ func NewServer(opts Options) (*Server, error) {
 	return s, nil
 }
 
-// Cache exposes the result cache (cmd warm-start and tests).
-func (s *Server) Cache() *ResultCache { return s.cache }
-
-// WarmFromJournal seeds the engine memo and the result cache from checkpoint
-// records, so a restarted daemon serves previously-completed configurations
-// without re-executing them. Returns how many results warmed the cache.
-func (s *Server) WarmFromJournal(recs []campaign.Record) int {
-	s.eng.Preload(recs)
-	n := 0
-	for _, rec := range recs {
-		if rec.Key == "" || rec.Status != campaign.StatusOK || rec.Result == nil {
-			continue
-		}
-		data, err := json.Marshal(rec.Result)
-		if err != nil {
-			continue
-		}
-		s.cache.Put(rec.Key, data)
-		n++
-	}
-	return n
-}
-
 // Handler returns the service's HTTP routes. Non-streaming routes run under
 // RequestTimeout; the SSE route manages its own lifetime.
 func (s *Server) Handler() http.Handler {
@@ -211,7 +182,6 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGet)
 	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
 	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancel)
-	mux.HandleFunc("GET /v1/healthz", s.handleHealthz)
 	mux.HandleFunc("GET /v1/healthz/live", s.handleLive)
 	mux.HandleFunc("GET /v1/healthz/ready", s.handleReady)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
@@ -356,9 +326,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		done:    make(chan struct{}),
 	}
 
-	// Cache tier: completed configurations are served without touching the
-	// engine or the queue.
-	if data, ok := s.cache.Get(key); ok {
+	// Cache hit: a configuration the memo holds a completed result for —
+	// run by this process or replayed from the journal — is answered with
+	// its canonical bytes, without taking a queue slot.
+	if data := s.eng.Peek(key); data != nil {
+		s.hits.Add(1)
 		j.state = StateDone
 		j.cacheHit = true
 		j.result = data
@@ -368,10 +340,11 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.status(j))
 		return
 	}
+	s.misses.Add(1)
 
-	// A degraded journal cannot persist new verdicts: keep serving the cache
-	// (above) but refuse work whose outcome would silently evaporate on the
-	// next restart.
+	// A degraded journal cannot persist new verdicts: keep serving completed
+	// results (above) but refuse work whose outcome would silently evaporate
+	// on the next restart.
 	if err := s.journalDegraded(); err != nil {
 		writeError(w, http.StatusServiceUnavailable, "journal degraded, serving cached results only: "+err.Error(), 0)
 		return
@@ -446,23 +419,17 @@ func (s *Server) markRunning(key string) {
 	}
 }
 
-// watch drives one job to its terminal state when its run completes.
+// watch drives one job to its terminal state when its run completes. The
+// result bytes are the memo's canonical encoding, the same bytes the journal
+// holds, so every client of one configuration reads identical payloads.
 func (s *Server) watch(j *job) {
 	res, err := j.handle.Outcome()
-	if err == nil && res != nil {
-		// Materialize once per key: PutIfAbsent makes the first writer's bytes
-		// canonical, so every later read is byte-identical.
-		data, merr := json.Marshal(res)
-		if merr != nil {
-			err = fmt.Errorf("marshal result: %w", merr)
-		} else {
-			data = s.cache.PutIfAbsent(j.key, data)
-			s.finish(j, StateDone, data, res.Summary(), nil)
-			if !j.handle.Joined {
-				s.recordLatency(j)
-			}
-			return
+	if err == nil {
+		s.finish(j, StateDone, s.eng.Peek(j.key), res.Summary(), nil)
+		if !j.handle.Joined {
+			s.recordLatency(j)
 		}
+		return
 	}
 	state := StateFailed
 	if campaign.Classify(err) == campaign.VerdictCancelled {
@@ -687,13 +654,6 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleHealthz is GET /v1/healthz — the legacy combined endpoint, always
-// 200 while the process serves (liveness semantics, with drain state in the
-// body).
-func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, s.health())
-}
-
 // handleLive is GET /v1/healthz/live: is the process serving at all? Always
 // 200 — a live-but-draining daemon should not be restarted by its
 // supervisor, which is exactly the distinction readiness exists to carry.
@@ -785,9 +745,13 @@ func (s *Server) Stats() Stats {
 		st.Schemes[scheme] = summarizeLatency(lat)
 	}
 	s.mu.Unlock()
-	st.Cache = s.cache.Stats()
+	st.Cache = CacheStats{Hits: s.hits.Load(), Misses: s.misses.Load()}
+	if total := st.Cache.Hits + st.Cache.Misses; total > 0 {
+		st.Cache.HitRatio = float64(st.Cache.Hits) / float64(total)
+	}
 	if s.dist != nil {
-		st.Dist = distStatsWire(s.dist.Snapshot())
+		ds := s.dist.Snapshot()
+		st.Dist = &ds
 	}
 	if s.journal != nil {
 		js := s.journal.Stats()

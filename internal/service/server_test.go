@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -287,7 +289,7 @@ func TestDedupAndCacheTiers(t *testing.T) {
 	_, st1 := postJob(t, ts, baseJob)
 	waitTerminal(t, ts, st1.ID)
 
-	// Same config again: memo has it, cache has it — the cache tier answers.
+	// Same config again: the memo holds its result — a cache hit.
 	resp2, st2 := postJob(t, ts, baseJob)
 	if resp2.StatusCode != http.StatusOK {
 		t.Fatalf("repeat submit status = %d, want 200", resp2.StatusCode)
@@ -318,9 +320,101 @@ func TestDedupAndCacheTiers(t *testing.T) {
 	}
 }
 
+// TestEveryCompletedKeyIsACacheHit: the memo is the only result store, so a
+// key stays a cache hit however many other keys completed after it — no
+// eviction sends it back through the queue.
+func TestEveryCompletedKeyIsACacheHit(t *testing.T) {
+	srv, ts := newTestServer(t, func(o *Options) { o.MaxQueue = 512 })
+	job := func(seed int) string {
+		return fmt.Sprintf(`{"scheme":"stt4","bench":"milc","seed":%d,"warmup_cycles":100,"measure_cycles":200}`, seed)
+	}
+	const keys = 300
+	ids := make([]string, keys)
+	for i := range ids {
+		resp, st := postJob(t, ts, job(i+1))
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("submit %d: status %d, want 202", i, resp.StatusCode)
+		}
+		ids[i] = st.ID
+	}
+	for _, id := range ids {
+		if st := waitTerminal(t, ts, id); st.State != StateDone {
+			t.Fatalf("job %s ended %s, want done", id, st.State)
+		}
+	}
+	executed := srv.Stats().Engine.Executed
+
+	resp, st := postJob(t, ts, job(1))
+	if resp.StatusCode != http.StatusOK || !st.CacheHit || st.Deduped || st.State != StateDone {
+		t.Fatalf("resubmit of the first key = (%d, %+v), want 200 and an immediate cache hit", resp.StatusCode, st)
+	}
+	stats := srv.Stats()
+	if stats.Engine.Executed != executed {
+		t.Fatalf("executed %d -> %d, want no new run", executed, stats.Engine.Executed)
+	}
+	if stats.Cache.Hits != 1 || stats.Cache.Misses != keys {
+		t.Fatalf("cache = %+v, want 1 hit and %d misses", stats.Cache, keys)
+	}
+}
+
+// TestResumeReportsDroppedLines: a daemon resumed over a journal with one
+// corrupt middle line reports that line in /v1/stats, and still replays the
+// intact records around it.
+func TestResumeReportsDroppedLines(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "ckpt.jsonl")
+	jrn, _, err := campaign.OpenJournal(path, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		data, _ := json.Marshal(fakeResult(sim.Config{Seed: uint64(i)}))
+		if err := jrn.Append(campaign.Record{Key: fmt.Sprintf("k%d", i), Status: campaign.StatusOK, Result: data}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	jrn.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.SplitAfter(data, []byte("\n"))
+	lines[1] = []byte("garbage\n")
+	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	jrn, recs, err := campaign.OpenJournal(path, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer jrn.Close()
+	srv, ts := newTestServer(t, func(o *Options) {
+		o.Journal = jrn
+		o.Engine.AttachJournal(jrn)
+		if n := o.Engine.Preload(recs); n != 2 {
+			t.Fatalf("replayed %d records, want the 2 intact ones", n)
+		}
+	})
+	resp, err := http.Get(ts.URL + "/v1/stats")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var stats Stats
+	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Journal == nil || stats.Journal.ReplayDropped != 1 {
+		t.Fatalf("stats.journal = %+v, want replay_dropped 1", stats.Journal)
+	}
+	if srv.eng.Peek("k0") == nil || srv.eng.Peek("k2") == nil || srv.eng.Peek("k1") != nil {
+		t.Fatal("memo does not hold exactly the intact records")
+	}
+}
+
 func TestHealthzAndDrain(t *testing.T) {
 	srv, ts := newTestServer(t, nil)
-	resp, err := http.Get(ts.URL + "/v1/healthz")
+	resp, err := http.Get(ts.URL + "/v1/healthz/live")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +435,7 @@ func TestHealthzAndDrain(t *testing.T) {
 	if resp2.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit while draining = %d, want 503", resp2.StatusCode)
 	}
-	resp3, err := http.Get(ts.URL + "/v1/healthz")
+	resp3, err := http.Get(ts.URL + "/v1/healthz/live")
 	if err != nil {
 		t.Fatal(err)
 	}

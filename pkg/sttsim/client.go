@@ -150,7 +150,7 @@ func (c *Client) Jobs(ctx context.Context, limit int) ([]JobStatus, error) {
 // Health fetches the liveness payload.
 func (c *Client) Health(ctx context.Context) (Health, error) {
 	var h Health
-	err := c.do(ctx, http.MethodGet, "/v1/healthz", nil, &h)
+	err := c.do(ctx, http.MethodGet, "/v1/healthz/live", nil, &h)
 	return h, err
 }
 

@@ -285,7 +285,7 @@ type JobList struct {
 	Jobs []JobStatus `json:"jobs"`
 }
 
-// Health is the GET /v1/healthz (liveness) payload. Readiness is the
+// Health is the GET /v1/healthz/live (liveness) payload. Readiness is the
 // separate GET /v1/healthz/ready: it answers 503 while draining, while the
 // journal is degraded, and, in coordinator mode, while no worker is alive.
 type Health struct {
@@ -301,15 +301,13 @@ type Health struct {
 	WorkersAlive int `json:"workers_alive,omitempty"`
 }
 
-// CacheStats is the result cache's counter snapshot in GET /v1/stats.
+// CacheStats counts, in GET /v1/stats, the submissions answered at once
+// with a completed configuration's result (hits) and those that had to
+// queue (misses).
 type CacheStats struct {
-	Entries     int     `json:"entries"`
-	Capacity    int     `json:"capacity"`
-	Hits        uint64  `json:"hits"`
-	Misses      uint64  `json:"misses"`
-	Evictions   uint64  `json:"evictions"`
-	Expirations uint64  `json:"expirations"`
-	HitRatio    float64 `json:"hit_ratio"`
+	Hits     uint64  `json:"hits"`
+	Misses   uint64  `json:"misses"`
+	HitRatio float64 `json:"hit_ratio"`
 }
 
 // LatencySummary is the per-scheme wall-clock execution latency digest in
@@ -343,8 +341,7 @@ type WorkerStatus struct {
 	LastSeenS float64 `json:"last_seen_s"`
 }
 
-// DistStats is the coordinator's lease-table snapshot in GET /v1/stats
-// (wire mirror of the internal dist.Stats).
+// DistStats is the coordinator's lease-table snapshot in GET /v1/stats.
 type DistStats struct {
 	WorkersAlive    int            `json:"workers_alive"`
 	Queued          int            `json:"queued"`

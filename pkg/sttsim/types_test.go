@@ -154,8 +154,8 @@ func TestWireFormatPinned(t *testing.T) {
 			`{"status":"ok","version":"v","mode":"coordinator","uptime_s":1,"queue_depth":2,"queue_max":3,"jobs":4,"workers_alive":5}`,
 		},
 		{
-			"CacheStats", CacheStats{Entries: 1, Capacity: 2, Hits: 3, Misses: 4, Evictions: 5, Expirations: 6, HitRatio: 0.5},
-			`{"entries":1,"capacity":2,"hits":3,"misses":4,"evictions":5,"expirations":6,"hit_ratio":0.5}`,
+			"CacheStats", CacheStats{Hits: 3, Misses: 4, HitRatio: 0.5},
+			`{"hits":3,"misses":4,"hit_ratio":0.5}`,
 		},
 		{
 			"EngineStats", EngineStats{Executed: 1, Retries: 2, MemoHits: 3, Replayed: 4, Completed: 5, Failed: 6, Cancelled: 7, JournalErrors: 8},

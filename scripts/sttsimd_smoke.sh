@@ -27,7 +27,7 @@ json_field() { # json_field <key> — first string value of "key" on stdin
 
 wait_healthy() {
     for _ in $(seq 1 100); do
-        if curl -sf "$base/v1/healthz" >/dev/null 2>&1; then return 0; fi
+        if curl -sf "$base/v1/healthz/live" >/dev/null 2>&1; then return 0; fi
         sleep 0.1
     done
     echo "smoke: daemon never became healthy" >&2
