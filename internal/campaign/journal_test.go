@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -48,8 +49,8 @@ func TestJournalCRCRejectsBitFlip(t *testing.T) {
 	// An unframed line — the journal format before checksums — is corrupt
 	// too, in the middle of the file as at its tail.
 	bare := []byte(`{"key":"bare","status":"ok","result":{"Cycles":5}}` + "\n")
-	lines = append(lines[:2], append([][]byte{bare}, lines[2:]...)...)
-	if err := os.WriteFile(path, bytes.Join(append(lines, bare), nil), 0o644); err != nil {
+	lines = append(slices.Insert(lines, 2, bare), bare)
+	if err := os.WriteFile(path, bytes.Join(lines, nil), 0o644); err != nil {
 		t.Fatal(err)
 	}
 

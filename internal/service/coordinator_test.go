@@ -386,7 +386,7 @@ func TestCancelPropagatesToWorker(t *testing.T) {
 
 // TestCoordinatorRequeuePendingFromJournal: leased-but-unfinished journal
 // records must re-enter the queue on restart and complete on a worker with
-// no client attached, landing in the result cache.
+// no client attached, landing in the engine memo.
 func TestCoordinatorRequeuePendingFromJournal(t *testing.T) {
 	var spec JobSpec
 	if err := json.Unmarshal([]byte(e2eSpec), &spec); err != nil {

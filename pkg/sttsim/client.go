@@ -22,7 +22,8 @@ import (
 // 504 — with jittered exponential backoff, honoring the server's Retry-After
 // hint when it sends one. Retrying POST /v1/jobs is safe by construction:
 // submission is idempotent per configuration fingerprint (a re-submission
-// joins the in-flight run or hits the result cache; it never re-executes).
+// joins the in-flight run or is a cache hit on its finished result; it never
+// re-executes).
 type Client struct {
 	base string
 	hc   *http.Client

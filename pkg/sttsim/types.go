@@ -264,7 +264,8 @@ type JobStatus struct {
 	Key    string `json:"key"`
 	Scheme string `json:"scheme"`
 	Bench  string `json:"bench"`
-	// CacheHit: served from the result cache without touching the engine.
+	// CacheHit: answered at once with a finished run's result, without
+	// queueing.
 	CacheHit bool `json:"cache_hit,omitempty"`
 	// Deduped: joined an identical in-flight or memoized run.
 	Deduped   bool    `json:"deduped,omitempty"`
