@@ -178,29 +178,43 @@ func BenchmarkFullRun(b *testing.B) {
 // Substrate micro-benchmarks.
 // ---------------------------------------------------------------------------
 
-// BenchmarkNetworkTick measures the idle+loaded cycle cost of the full
-// 128-router network.
+// BenchmarkNetworkTick measures the router datapath alone at fixed
+// occupancy: the 128-router network with no core or bank models, and each
+// core's one 9-flit write request in a closed loop with a bank. Every
+// delivery re-injects the packet with source and destination swapped, so 64
+// packets stay in flight and the loop allocates nothing; the timer starts
+// after a 2,000-cycle warmup. The bench guard pins it at 0 allocs/op.
 func BenchmarkNetworkTick(b *testing.B) {
 	topo := noc.DefaultTopology()
 	routing, err := noc.NewRoutingTopo(topo, noc.PathAllTSVs, nil)
 	must(b, err)
 	n, err := noc.NewNetwork(noc.Config{Routing: routing})
 	must(b, err)
+	bounce := func(p *noc.Packet, at uint64) {
+		p.Src, p.Dst = p.Dst, p.Src
+		n.Inject(p, at)
+	}
 	for d := noc.NodeID(0); d < noc.NodeID(topo.NumNodes()); d++ {
-		n.SetDeliver(d, func(*noc.Packet, uint64) {})
+		n.SetDeliver(d, bounce)
+	}
+	for c := 0; c < topo.NumCores(); c++ {
+		n.Inject(&noc.Packet{Kind: noc.KindWriteReq, Src: noc.NodeID(c),
+			Dst: topo.BankNode(c * 7 % topo.NumBanks())}, 0)
 	}
 	now := uint64(0)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if i%50 == 0 {
-			// Keep a steady trickle of data packets in flight.
-			n.Inject(&noc.Packet{Kind: noc.KindWriteReq,
-				Src: noc.NodeID(i % 64), Dst: noc.NodeID(64 + (i*7)%64)}, now)
-		}
+	step := func() {
 		if err := n.Step(now); err != nil {
 			b.Fatal(err)
 		}
 		now++
+	}
+	for now < 2000 {
+		step()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		step()
 	}
 }
 
@@ -294,7 +308,9 @@ func BenchmarkSteadyStateCycle(b *testing.B) {
 // benchTracing is BenchmarkSimulatorCycle under a given observability
 // configuration; the disabled/enabled pair quantifies the tracing overhead
 // and feeds scripts/bench_guard.sh, which fails `make verify` when the
-// disabled path regresses more than 2% against its checked-in baseline.
+// disabled path's allocs/op or B/op grow more than 2% (B/op plus 64 bytes)
+// over its checked-in baseline, or its ns/op more than 10% on a quiet host
+// that recorded the baseline.
 func benchTracing(b *testing.B, oc *sim.ObsConfig) {
 	s, err := sim.New(sim.Config{
 		Scheme:     sim.SchemeSTT4TSBWB,

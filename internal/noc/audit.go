@@ -7,52 +7,50 @@ import "fmt"
 //
 //   - credit conservation: the upstream credit count plus the flits buffered
 //     in the downstream VC equals the buffer depth;
-//   - VC ownership: a VC holding flits belongs to exactly one packet, its
-//     header is first (when present), and a free VC holds no flits;
+//   - VC ownership: a VC holding flits belongs to a packet and holds none
+//     past that packet's tail, and a free VC holds no flits;
 //   - occupancy state: the router's buffered-flit counter and its VA and SA
 //     masks agree with the actual VC states.
+//
+// acceptFlit itself rejects a flit that is not the next one of the VC's
+// packet, so a VC always holds one packet's flits in sequence order.
 //
 // The simulator's tests call this after traffic storms; it is cheap enough
 // to call every few thousand cycles in long soak runs.
 func (n *Network) CheckInvariants() error {
 	for id := NodeID(0); id < NodeID(n.numNodes); id++ {
-		r := n.routers[id]
+		r := &n.routers[id]
 		buffered := 0
 		var vaMask, saMask uint64
-		for port := Port(0); port < NumPorts; port++ {
-			ip := r.in[port]
-			if ip == nil {
+		for b := range r.vcs {
+			st := &r.vcs[b]
+			port, vc := Port(b/maxVCsPerPort), b%maxVCsPerPort
+			buffered += st.n
+			if st.pkt != nil && st.outVC < 0 {
+				vaMask |= 1 << uint(b)
+			}
+			if st.outVC >= 0 && st.n > 0 {
+				saMask |= 1 << uint(b)
+			}
+			if st.pkt == nil && st.n > 0 {
+				return fmt.Errorf("noc: router %d port %s vc %d holds %d flits with no owner",
+					id, port, vc, st.n)
+			}
+			if st.pkt != nil && st.seq+st.n > st.pkt.SizeFlits {
+				return fmt.Errorf("noc: router %d port %s vc %d holds flits past its packet's tail (flits %d..%d of %d)",
+					id, port, vc, st.seq, st.seq+st.n-1, st.pkt.SizeFlits)
+			}
+			// Credit conservation against the feeder.
+			f := r.feeder[port]
+			if f == nil || vc >= n.numVCs {
 				continue
 			}
-			for vc := range ip.vcs {
-				st := &ip.vcs[vc]
-				buffered += len(st.buf)
-				if st.pkt != nil && st.outVC < 0 {
-					vaMask |= vcBit(port, vc)
-				}
-				if st.outVC >= 0 && len(st.buf) > 0 {
-					saMask |= vcBit(port, vc)
-				}
-				if st.pkt == nil && len(st.buf) > 0 {
-					return fmt.Errorf("noc: router %d port %s vc %d holds %d flits with no owner",
-						id, port, vc, len(st.buf))
-				}
-				for i := range st.buf {
-					if st.buf[i].Pkt != st.pkt {
-						return fmt.Errorf("noc: router %d port %s vc %d has interleaved packets",
-							id, port, vc)
-					}
-				}
-				// Credit conservation against the feeder.
-				if ip.feeder != nil {
-					if got := ip.feeder.credits[vc] + len(st.buf); got != n.bufDepth {
-						return fmt.Errorf("noc: router %d port %s vc %d credits+buffered = %d, want %d",
-							id, port, vc, got, n.bufDepth)
-					}
-					if ip.feeder.credits[vc] < 0 {
-						return fmt.Errorf("noc: router %d port %s vc %d negative credits", id, port, vc)
-					}
-				}
+			if got := f.credits[vc] + st.n; got != DefaultBufDepth {
+				return fmt.Errorf("noc: router %d port %s vc %d credits+buffered = %d, want %d",
+					id, port, vc, got, DefaultBufDepth)
+			}
+			if f.credits[vc] < 0 {
+				return fmt.Errorf("noc: router %d port %s vc %d negative credits", id, port, vc)
 			}
 		}
 		if buffered != r.bufferedFlits {

@@ -26,26 +26,25 @@ func corrupt(t *testing.T, want string, mutate func(n *Network)) {
 
 func TestAuditDetectsUnownedFlits(t *testing.T) {
 	corrupt(t, "no owner", func(n *Network) {
-		st := &n.routers[0].in[PortLocal].vcs[0]
-		st.buf = append(st.buf, Flit{Pkt: &Packet{ID: 1}, Seq: 1})
+		st := &n.routers[0].vcs[PortLocal*maxVCsPerPort]
+		st.seq, st.n = 1, 1
 	})
 }
 
-func TestAuditDetectsInterleavedPackets(t *testing.T) {
-	corrupt(t, "interleaved", func(n *Network) {
-		a, b := &Packet{ID: 1}, &Packet{ID: 2}
-		st := &n.routers[0].in[PortLocal].vcs[0]
-		st.pkt = a
-		st.buf = append(st.buf, Flit{Pkt: a, Seq: 0}, Flit{Pkt: b, Seq: 1})
+func TestAuditDetectsFlitsPastTail(t *testing.T) {
+	corrupt(t, "past its packet's tail", func(n *Network) {
+		st := &n.routers[0].vcs[PortLocal*maxVCsPerPort]
+		st.pkt = &Packet{ID: 1, SizeFlits: AddrPacketFlits}
+		st.seq, st.n = 0, 2
 		// Keep the credit ledger consistent so the ownership check is what
 		// fires, not conservation.
-		n.routers[0].in[PortLocal].feeder.credits[0] -= 2
+		n.routers[0].feeder[PortLocal].credits[0] -= 2
 	})
 }
 
 func TestAuditDetectsCreditLeak(t *testing.T) {
 	corrupt(t, "credits+buffered", func(n *Network) {
-		n.routers[0].in[PortLocal].feeder.credits[0]--
+		n.routers[0].feeder[PortLocal].credits[0]--
 	})
 }
 
@@ -53,14 +52,39 @@ func TestAuditDetectsNegativeCredits(t *testing.T) {
 	corrupt(t, "negative credits", func(n *Network) {
 		// Conservation must hold (credits + buffered == depth) for the
 		// negative-credit branch to be the one that fires.
-		p := &Packet{ID: 1}
-		st := &n.routers[0].in[PortLocal].vcs[0]
-		st.pkt = p
-		for i := 0; i <= n.bufDepth; i++ {
-			st.buf = append(st.buf, Flit{Pkt: p, Seq: i})
-		}
-		n.routers[0].in[PortLocal].feeder.credits[0] = -1
+		st := &n.routers[0].vcs[PortLocal*maxVCsPerPort]
+		st.pkt = &Packet{ID: 1, SizeFlits: DataPacketFlits}
+		st.seq, st.n = 0, DefaultBufDepth+1
+		n.routers[0].feeder[PortLocal].credits[0] = -1
 	})
+}
+
+// TestAcceptFlitRejectsMisorderedFlit: a VC holds one packet's flits in
+// sequence order, so a body flit of another packet, or one that skips a
+// sequence number, breaks the protocol and must panic where it arrives.
+func TestAcceptFlitRejectsMisorderedFlit(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		pkt  func(owner *Packet) *Packet
+		seq  int
+	}{
+		{"other packet", func(*Packet) *Packet { return &Packet{ID: 2, SizeFlits: DataPacketFlits} }, 1},
+		{"skipped seq", func(owner *Packet) *Packet { return owner }, 2},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			n := mustNetwork(t, Config{})
+			r := n.Router(0)
+			owner := &Packet{ID: 1, Kind: KindWriteReq, Src: 0, Dst: 64, SizeFlits: DataPacketFlits}
+			r.acceptFlit(PortLocal, 0, owner, 0, 1, 0)
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "out of order") {
+					t.Fatalf("misordered flit accepted (panic %q)", msg)
+				}
+			}()
+			r.acceptFlit(PortLocal, 0, c.pkt(owner), c.seq, 2, 1)
+		})
+	}
 }
 
 func TestAuditDetectsBufferedFlitCounterDrift(t *testing.T) {
@@ -71,10 +95,10 @@ func TestAuditDetectsBufferedFlitCounterDrift(t *testing.T) {
 
 func TestAuditDetectsVCMaskDrift(t *testing.T) {
 	corrupt(t, "VA mask", func(n *Network) {
-		n.routers[5].vaMask ^= vcBit(PortEast, 1)
+		n.routers[5].vaMask ^= 1 << (PortEast*maxVCsPerPort + 1)
 	})
 	corrupt(t, "SA mask", func(n *Network) {
-		n.routers[5].saMask ^= vcBit(PortLocal, 0)
+		n.routers[5].saMask ^= 1 << (PortLocal * maxVCsPerPort)
 	})
 }
 

@@ -33,20 +33,14 @@ func (d PacketDump) String() string {
 func (n *Network) DumpInFlight() []PacketDump {
 	var out []PacketDump
 	for id := NodeID(0); id < NodeID(n.numNodes); id++ {
-		r := n.routers[id]
-		for port := Port(0); port < NumPorts; port++ {
-			ip := r.in[port]
-			if ip == nil {
+		r := &n.routers[id]
+		for b := range r.vcs {
+			st := &r.vcs[b]
+			if st.pkt == nil || st.n == 0 {
 				continue
 			}
-			for vc := range ip.vcs {
-				st := &ip.vcs[vc]
-				if st.pkt == nil || st.empty() {
-					continue
-				}
-				out = append(out, dumpOf(st.pkt, id,
-					fmt.Sprintf("router port %s vc %d (%d flits buffered)", port, vc, len(st.buf))))
-			}
+			out = append(out, dumpOf(st.pkt, id, fmt.Sprintf("router port %s vc %d (%d flits buffered)",
+				Port(b/maxVCsPerPort), b%maxVCsPerPort, st.n)))
 		}
 	}
 	for id := NodeID(0); id < NodeID(n.numNodes); id++ {

@@ -26,8 +26,6 @@ type Config struct {
 	// VCsPerClass is the per-virtual-network VC count; nil means
 	// DefaultVCsPerClass.
 	VCsPerClass []int
-	// BufDepth is the per-VC buffer depth in flits; 0 means DefaultBufDepth.
-	BufDepth int
 	// WideTSBs lists core-layer nodes whose down-link is a 256-bit TSB
 	// carrying two flits per cycle (the region TSBs with flit combining).
 	WideTSBs []NodeID
@@ -63,17 +61,16 @@ type NetStats struct {
 type Network struct {
 	topo     Topology
 	numNodes int
-	routers  []*Router
+	routers  []Router
 	nics     []*NIC
 
 	routing     *Routing
 	prioritizer Prioritizer
 	obs         Observer
 
-	numVCs   int
-	bufDepth int
-	classLo  [NumClasses]int
-	classHi  [NumClasses]int
+	numVCs  int
+	classLo [NumClasses]int
+	classHi [NumClasses]int
 
 	// Sparse active-set ticking (see Step): bit n set means the router/NIC
 	// at node n may make progress and must be ticked this cycle. Idle
@@ -156,20 +153,16 @@ func NewNetwork(cfg Config) (*Network, error) {
 	n := &Network{
 		topo:        topo,
 		numNodes:    numNodes,
-		routers:     make([]*Router, numNodes),
+		routers:     make([]Router, numNodes),
 		nics:        make([]*NIC, numNodes),
 		activeRtr:   make([]uint64, words),
 		activeNIC:   make([]uint64, words),
 		routing:     cfg.Routing,
 		prioritizer: cfg.Prioritizer,
 		obs:         cfg.Observer,
-		bufDepth:    cfg.BufDepth,
 		watchdog:    cfg.WatchdogCycles,
 		workNIC:     make([]NodeID, 0, numNodes),
 		workRtr:     make([]NodeID, 0, numNodes),
-	}
-	if n.bufDepth == 0 {
-		n.bufDepth = DefaultBufDepth
 	}
 	if n.watchdog == 0 {
 		n.watchdog = WatchdogCycles
@@ -197,25 +190,19 @@ func NewNetwork(cfg Config) (*Network, error) {
 	}
 	layerSize := topo.LayerSize()
 
-	// Pass 1: routers and their input ports.
+	// Pass 1: routers, their input VCs idle.
 	for id := NodeID(0); id < NodeID(numNodes); id++ {
-		r := &Router{id: id, net: n}
-		r.in[PortLocal] = n.newInputPort()
-		for p := Port(0); p < NumPorts; p++ {
-			if p == PortLocal {
-				continue
-			}
-			if topo.Neighbor(id, p) >= 0 {
-				r.in[p] = n.newInputPort()
-			}
+		r := &n.routers[id]
+		r.id, r.net = id, n
+		for b := range r.vcs {
+			r.vcs[b].outVC = -1
 		}
-		n.routers[id] = r
 	}
 
-	// Pass 2: output links, including the local ejection port, and credit
-	// wiring back into the downstream input ports.
+	// Pass 2: output links, including the local ejection port, each wired
+	// as the feeder of the downstream input port it returns credits to.
 	for id := NodeID(0); id < NodeID(numNodes); id++ {
-		r := n.routers[id]
+		r := &n.routers[id]
 		for p := Port(0); p < NumPorts; p++ {
 			if p == PortLocal {
 				r.out[p] = n.newOutLink(p, nil, PortLocal, 1, false)
@@ -230,17 +217,17 @@ func NewNetwork(cfg Config) (*Network, error) {
 			if p == PortDown && wide[NodeID(int(id)%layerSize)] {
 				width = 2
 			}
-			ol := n.newOutLink(p, n.routers[nb], p.Opposite(), width, isTSV)
+			ol := n.newOutLink(p, &n.routers[nb], p.Opposite(), width, isTSV)
 			r.out[p] = ol
-			n.routers[nb].in[p.Opposite()].feeder = ol
+			n.routers[nb].feeder[p.Opposite()] = ol
 		}
 	}
 
 	// Pass 3: NICs, each feeding its router's local input port.
 	for id := NodeID(0); id < NodeID(numNodes); id++ {
-		r := n.routers[id]
+		r := &n.routers[id]
 		inj := n.newOutLink(PortLocal, r, PortLocal, 1, false)
-		r.in[PortLocal].feeder = inj
+		r.feeder[PortLocal] = inj
 		n.nics[id] = &NIC{
 			id:     id,
 			net:    n,
@@ -248,38 +235,18 @@ func NewNetwork(cfg Config) (*Network, error) {
 			inj:    inj,
 		}
 		for p := Port(0); p < NumPorts; p++ {
-			if r.in[p] != nil {
-				r.bufCap += n.numVCs * n.bufDepth
+			if r.feeder[p] != nil {
+				r.bufCap += n.numVCs * DefaultBufDepth
 			}
 		}
 	}
 	return n, nil
 }
 
-func (n *Network) newInputPort() *inputPort {
-	ip := &inputPort{vcs: make([]vcState, n.numVCs)}
-	for v := range ip.vcs {
-		ip.vcs[v].outVC = -1
-		// Pre-size to the credit-bounded maximum so buffering never grows
-		// the slice in the hot loop.
-		ip.vcs[v].buf = make([]Flit, 0, n.bufDepth)
-	}
-	return ip
-}
-
 func (n *Network) newOutLink(src Port, dst *Router, dstPort Port, width int, isTSV bool) *outLink {
-	ol := &outLink{
-		srcPort:  src,
-		dst:      dst,
-		dstPort:  dstPort,
-		width:    width,
-		isTSV:    isTSV,
-		credits:  make([]int, n.numVCs),
-		busy:     make([]bool, n.numVCs),
-		tailSent: make([]bool, n.numVCs),
-	}
-	for v := range ol.credits {
-		ol.credits[v] = n.bufDepth
+	ol := &outLink{srcPort: src, dst: dst, dstPort: dstPort, width: width, isTSV: isTSV}
+	for v := 0; v < n.numVCs; v++ {
+		ol.credits[v] = DefaultBufDepth
 	}
 	return ol
 }
@@ -292,8 +259,8 @@ func (n *Network) classVCRange(c Class) (lo, hi int) {
 // NumVCs returns the total VC count per port.
 func (n *Network) NumVCs() int { return n.numVCs }
 
-// BufDepth returns the per-VC buffer depth in flits.
-func (n *Network) BufDepth() int { return n.bufDepth }
+// BufDepth returns the per-VC buffer depth in flits, DefaultBufDepth.
+func (n *Network) BufDepth() int { return DefaultBufDepth }
 
 // Routing returns the network's routing function.
 func (n *Network) Routing() *Routing { return n.routing }
@@ -305,7 +272,7 @@ func (n *Network) Topology() Topology { return n.topo }
 func (n *Network) NumNodes() int { return n.numNodes }
 
 // Router returns the router at node id.
-func (n *Network) Router(id NodeID) *Router { return n.routers[id] }
+func (n *Network) Router(id NodeID) *Router { return &n.routers[id] }
 
 // NIC returns the network interface at node id.
 func (n *Network) NIC(id NodeID) *NIC { return n.nics[id] }
@@ -471,7 +438,7 @@ func (n *Network) Step(now uint64) error {
 	// R1 — router decisions from the frozen cycle-N state.
 	n.workRtr = n.gatherWork(n.activeRtr, n.workRtr)
 	for _, id := range n.workRtr {
-		r := n.routers[id]
+		r := &n.routers[id]
 		r.switchAlloc(now)
 		r.vcAlloc(now)
 	}
@@ -527,17 +494,10 @@ func (n *Network) DegradePort(id NodeID, p Port, period uint64) error {
 // a downstream VC drain along their old path.
 func (n *Network) RecomputeRoutes() {
 	for id := NodeID(0); id < NodeID(n.numNodes); id++ {
-		r := n.routers[id]
-		for port := Port(0); port < NumPorts; port++ {
-			ip := r.in[port]
-			if ip == nil {
-				continue
-			}
-			for vc := range ip.vcs {
-				st := &ip.vcs[vc]
-				if st.pkt != nil && st.outVC < 0 {
-					st.outPort = n.routing.NextPort(id, st.pkt)
-				}
+		r := &n.routers[id]
+		for b := range r.vcs {
+			if st := &r.vcs[b]; st.pkt != nil && st.outVC < 0 {
+				st.outPort = n.routing.NextPort(id, st.pkt)
 			}
 		}
 	}

@@ -23,9 +23,10 @@ type stream struct {
 	vc   int // injection VC granted on the local input port
 }
 
+// arrival is one ejected flit of pkt, due at the NIC at cycle at.
 type arrival struct {
-	f  Flit
-	at uint64
+	pkt *Packet
+	at  uint64
 }
 
 // NIC is a node's network interface: per-class injection queues feeding the
@@ -78,10 +79,10 @@ func (n *NIC) enqueue(p *Packet) {
 	n.net.markNICActive(n.id)
 }
 
-// receive buffers an ejected flit; the packet is delivered when all its
+// receive buffers an ejected flit of p; the packet is delivered when all its
 // flits have arrived.
-func (n *NIC) receive(f Flit, at uint64) {
-	n.inbox = append(n.inbox, arrival{f: f, at: at})
+func (n *NIC) receive(p *Packet, at uint64) {
+	n.inbox = append(n.inbox, arrival{pkt: p, at: at})
 	n.net.markNICActive(n.id)
 }
 
@@ -145,7 +146,7 @@ func (n *NIC) eject(now uint64) {
 			kept = append(kept, a)
 			continue
 		}
-		p := a.f.Pkt
+		p := a.pkt
 		p.arrived++
 		if int(p.arrived) == p.SizeFlits {
 			if n.gate != nil && (len(n.blocked[p.Class]) > 0 || !n.gate(p, now)) {
@@ -188,18 +189,13 @@ func (n *NIC) injectOne(now uint64) {
 			continue
 		}
 		p := s.pkt
-		f := Flit{
-			Pkt:     p,
-			Seq:     s.next,
-			Tail:    s.next == p.SizeFlits-1,
-			readyAt: now + 1, // one cycle to cross into the router buffer
-		}
 		n.inj.credits[s.vc]--
-		n.router.acceptFlit(PortLocal, s.vc, f, now)
+		// One cycle to cross into the router buffer.
+		n.router.acceptFlit(PortLocal, s.vc, p, s.next, now+1, now)
 		n.net.markRouterActive(n.id)
 		n.net.lastMove = now
 		s.next++
-		if f.Tail {
+		if s.next == p.SizeFlits {
 			n.inj.tailSent[s.vc] = true
 			n.streams = append(n.streams[:idx], n.streams[idx+1:]...)
 			n.rr = idx

@@ -27,45 +27,37 @@ type Prioritizer interface {
 	OnForward(at NodeID, p *Packet, now uint64)
 }
 
-// vcState is one virtual channel of one input port.
+// vcState is one input virtual channel. A VC holds the flits of one packet
+// at a time, in sequence order: allocVC hands a downstream VC out again only
+// after the previous packet's tail has left and every credit has returned, so
+// the buffered flits are seq, seq+1, ..., seq+n-1 of pkt and no flit needs a
+// record of its own. The head is the header when seq == 0 and the tail when
+// seq == pkt.SizeFlits-1.
 type vcState struct {
-	buf []Flit // FIFO of buffered flits
-
 	pkt     *Packet // packet currently holding this VC (nil when idle)
 	outPort Port    // route computed from the header (valid when pkt != nil)
 	outVC   int     // downstream VC granted by VA; -1 until allocated
+	seq     int     // sequence number of the head (oldest buffered) flit
+	n       int     // flits buffered
+
+	// ready[s%DefaultBufDepth] is the cycle flit s becomes available at this
+	// router, which models the pipeline stages and link traversal: VA may
+	// serve the header from that cycle on, SA a flit from the cycle after.
+	// The credit protocol keeps n <= DefaultBufDepth, so the buffered flits
+	// never share a slot.
+	ready [DefaultBufDepth]uint64
 }
 
-func (v *vcState) empty() bool { return len(v.buf) == 0 }
-
-func (v *vcState) head() *Flit {
-	if len(v.buf) == 0 {
-		return nil
-	}
-	return &v.buf[0]
-}
-
-func (v *vcState) pop() Flit {
-	f := v.buf[0]
-	copy(v.buf, v.buf[1:])
-	v.buf = v.buf[:len(v.buf)-1]
-	return f
-}
-
-// inputPort is one input port: a set of VCs plus a back-pointer to the
-// upstream outLink feeding it (for credit returns).
-type inputPort struct {
-	vcs    []vcState
-	feeder *outLink // nil for ports with no incoming link
-}
+// headReady returns the ready cycle of the VC's head flit.
+func (v *vcState) headReady() uint64 { return v.ready[v.seq%DefaultBufDepth] }
 
 // maxVCsPerPort bounds the VCs per input port: a router's VA and SA masks give
 // each input VC one bit of a uint64, bit port*maxVCsPerPort+vc, and
-// NumPorts*maxVCsPerPort must fit in 64.
+// NumPorts*maxVCsPerPort must fit in 64. The same bit indexes Router.vcs.
 const maxVCsPerPort = 8
 
-// vcBit is the mask bit of input VC (port, vc).
-func vcBit(port Port, vc int) uint64 { return 1 << (uint(port)*maxVCsPerPort + uint(vc)) }
+// numVCBits is the size of the mask-bit space, one bit per (port, VC slot).
+const numVCBits = int(NumPorts) * maxVCsPerPort
 
 // outLink is one output port and the link it drives, including the
 // credit/allocation state of the downstream input port's VCs.
@@ -76,10 +68,10 @@ type outLink struct {
 	width   int // flits per cycle (2 for the 256-bit region TSBs)
 	isTSV   bool
 
-	credits  []int  // free buffer slots per downstream VC
-	busy     []bool // downstream VC currently owned by an in-flight packet
-	tailSent []bool // tail forwarded; VC frees once its credits all return
-	rr       int    // SA round-robin pointer
+	credits  [maxVCsPerPort]int  // free buffer slots per downstream VC
+	busy     [maxVCsPerPort]bool // downstream VC currently owned by an in-flight packet
+	tailSent [maxVCsPerPort]bool // tail forwarded; VC frees once its credits all return
+	rr       int                 // SA round-robin pointer: the mask bit after the last winner
 
 	// Fault-injection state (see Network.DegradePort): a faulty link moves
 	// flits only on cycles divisible by period; period 0 means dead.
@@ -100,23 +92,20 @@ func (l *outLink) usableAt(now uint64) bool {
 // credit returned upstream, a flit buffered downstream (or ejected into the
 // local NIC), the prioritizer's busy-table charge — so they are deferred here
 // and applied by commitOps in ascending router order, which makes them
-// visible only at the end of the phase (DESIGN.md §18).
+// visible only at the end of the phase (DESIGN.md §18). A granted flit is
+// (pkt, seq); it is ready downstream two cycles after the grant.
 type fwdOp struct {
-	f      Flit     // the granted flit, readyAt already stamped
-	feeder *outLink // upstream link owed a credit (nil for NIC-fed ports)
-	ol     *outLink // output link traversed
-	fvc    int32    // input VC to credit upstream
-	outVC  int32    // downstream VC the flit lands in
+	pkt   *Packet
+	ol    *outLink // output link traversed
+	seq   int32    // sequence number of the granted flit
+	in    uint8    // input VC's mask bit; its feeder is owed a credit
+	outVC uint8    // downstream VC the flit lands in
 }
 
-// Router is one 2-stage wormhole router.
+// Router is one 2-stage wormhole router. Its input VCs live in one flat
+// array indexed by mask bit; the fields VA and SA read on every call come
+// first.
 type Router struct {
-	id  NodeID
-	in  [NumPorts]*inputPort
-	out [NumPorts]*outLink
-	net *Network
-	va  int // VA round-robin pointer over input VCs
-
 	// vaMask marks the input VCs holding a header that waits for VC
 	// allocation (pkt != nil, outVC < 0); saMask marks those that own a
 	// downstream VC and hold at least one flit. Only acceptFlit, the VA grant
@@ -124,6 +113,12 @@ type Router struct {
 	// rescanning every (port, VC).
 	vaMask uint64
 	saMask uint64
+	va     int // VA round-robin pointer: the mask bit the next walk starts at
+
+	out    [NumPorts]*outLink
+	feeder [NumPorts]*outLink // upstream link of each input port; nil where none
+	id     NodeID
+	net    *Network
 
 	bufferedFlits int // flits across all input VCs
 	bufCap        int // total flit-buffer capacity (fixed at construction)
@@ -132,41 +127,48 @@ type Router struct {
 	// array reaches steady-state capacity during warmup.
 	ops []fwdOp
 
-	// saCands is switchAlloc's per-output-port candidate scratch, reused
-	// across cycles so the SA stage allocates nothing in steady state.
-	saCands [NumPorts][]saCandidate
+	// saPrio is switchAlloc's scratch: the priority of each candidate VC,
+	// by mask bit, valid for the bits of this cycle's candidate masks.
+	saPrio [numVCBits]int
+
+	vcs [numVCBits]vcState // input VCs, indexed by mask bit port*8+vc
 }
 
 // ID returns the router's node ID.
 func (r *Router) ID() NodeID { return r.id }
 
-// numVCs returns the per-port VC count.
-func (r *Router) numVCs() int { return r.net.numVCs }
-
-// acceptFlit buffers a flit arriving on (port, vc). The header flit claims
-// the VC and has its route computed (the RC stage). Marking the router
-// active is the caller's job.
-func (r *Router) acceptFlit(port Port, vc int, f Flit, now uint64) {
-	ip := r.in[port]
-	st := &ip.vcs[vc]
-	if len(st.buf) >= r.net.bufDepth {
+// acceptFlit buffers flit seq of pkt arriving on (port, vc), available from
+// cycle readyAt. The header flit claims the VC and has its route computed (the
+// RC stage); a body flit must be the next flit of the VC's packet. Marking the
+// router active is the caller's job.
+func (r *Router) acceptFlit(port Port, vc int, pkt *Packet, seq int, readyAt, now uint64) {
+	b := uint(port)*maxVCsPerPort + uint(vc)
+	st := &r.vcs[b]
+	if st.n >= DefaultBufDepth {
 		panic(fmt.Sprintf("noc: buffer overflow at router %d port %s vc %d (credit protocol violated)", r.id, port, vc))
 	}
-	if f.IsHead() {
+	if seq == 0 {
 		if st.pkt != nil {
-			panic(fmt.Sprintf("noc: VC %d:%s:%d already owned when header of packet %d arrived", r.id, port, vc, f.Pkt.ID))
+			panic(fmt.Sprintf("noc: VC %d:%s:%d already owned when header of packet %d arrived", r.id, port, vc, pkt.ID))
 		}
-		st.pkt = f.Pkt
-		st.outPort = r.net.routing.NextPort(r.id, f.Pkt)
+		st.pkt = pkt
+		st.seq = 0
+		st.outPort = r.net.routing.NextPort(r.id, pkt)
 		st.outVC = -1
-		r.vaMask |= vcBit(port, vc)
+		r.vaMask |= 1 << b
 		if o := r.net.obs; o != nil {
-			o.HeaderEnqueued(r.id, f.Pkt, now)
+			o.HeaderEnqueued(r.id, pkt, now)
 		}
-	} else if st.outVC >= 0 {
-		r.saMask |= vcBit(port, vc)
+	} else {
+		if pkt != st.pkt || seq != st.seq+st.n {
+			panic(fmt.Sprintf("noc: VC %d:%s:%d got flit %d of packet %d out of order", r.id, port, vc, seq, pkt.ID))
+		}
+		if st.outVC >= 0 {
+			r.saMask |= 1 << b
+		}
 	}
-	st.buf = append(st.buf, f)
+	st.ready[seq%DefaultBufDepth] = readyAt
+	st.n++
 	r.bufferedFlits++
 	r.net.stats.BufferWrites++
 }
@@ -179,17 +181,15 @@ func (r *Router) vcAlloc(now uint64) {
 	if r.vaMask == 0 {
 		return
 	}
-	nv := r.net.numVCs
-	startIdx := r.va % (int(NumPorts) * nv)
-	below := vcBit(Port(startIdx/nv), startIdx%nv) - 1
+	below := uint64(1)<<uint(r.va) - 1
 	// Two passes: priority 0 candidates first, then the delayed ones. Each
-	// pass visits the VCs waiting for VA in the flat circular (port, vc)
-	// order from r.va — the set bits at or above the start bit, then those
-	// below — and every one of them, delayed, held or merely out of
-	// downstream VCs, gets its Priority call (the bank-aware prioritizer
-	// counts its delay decisions, so the call sequence is observable in the
-	// stats). A grant clears only the bit being visited and nothing sets a
-	// bit during VA, so walking a snapshot of the mask is the same walk.
+	// pass visits the VCs waiting for VA in circular bit order from r.va —
+	// the set bits at or above the start bit, then those below — and every
+	// one of them, delayed, held or merely out of downstream VCs, gets its
+	// Priority call (the bank-aware prioritizer counts its delay decisions,
+	// so the call sequence is observable in the stats). A grant clears only
+	// the bit being visited and nothing sets a bit during VA, so walking a
+	// snapshot of the mask is the same walk.
 	for pass := 0; pass < 2 && r.vaMask != 0; pass++ {
 		m := r.vaMask
 		for _, seg := range [2]uint64{m &^ below, m & below} {
@@ -198,16 +198,24 @@ func (r *Router) vcAlloc(now uint64) {
 			}
 		}
 	}
+	// Step the start bit to the next VC slot in use: past the last VC of a
+	// port lies the first VC of the next, and past the last port, bit 0.
 	r.va++
+	if r.va%maxVCsPerPort == r.net.numVCs {
+		r.va += maxVCsPerPort - r.net.numVCs
+	}
+	if r.va == numVCBits {
+		r.va = 0
+	}
 }
 
 // vaTry attempts VC allocation for the input VC at mask bit b during the
 // given pass; vcAlloc defines the walk order and pass semantics.
 func (r *Router) vaTry(pass, b int, now uint64) {
-	st := &r.in[b/maxVCsPerPort].vcs[b%maxVCsPerPort]
+	st := &r.vcs[b]
 	// A VC waiting for VA has forwarded nothing yet, so its head is the
 	// header flit.
-	if now < st.head().readyAt {
+	if now < st.ready[0] {
 		return
 	}
 	prio := r.net.priority(r.id, st.pkt, now)
@@ -236,7 +244,7 @@ func (r *Router) vaTry(pass, b int, now uint64) {
 func (l *outLink) allocVC(c Class, n *Network) int {
 	lo, hi := n.classVCRange(c)
 	for v := lo; v < hi; v++ {
-		if l.busy[v] && l.tailSent[v] && l.credits[v] == n.bufDepth {
+		if l.busy[v] && l.tailSent[v] && l.credits[v] == DefaultBufDepth {
 			l.busy[v] = false
 			l.tailSent[v] = false
 		}
@@ -248,36 +256,23 @@ func (l *outLink) allocVC(c Class, n *Network) int {
 	return -1
 }
 
-// saCandidate is one (port, vc) pair competing for an output port.
-type saCandidate struct {
-	port Port
-	vc   int
-	prio int
-}
-
 // switchAlloc runs the SA+ST stages: for every output port, pick up to
 // `width` winners among ready flits and move them across the link.
 func (r *Router) switchAlloc(now uint64) {
 	if r.saMask == 0 {
 		return
 	}
-	// The candidate lists live on the router and are re-sliced to length zero
-	// each cycle: after warmup the backing arrays reach steady-state capacity
-	// and the SA stage allocates nothing (saCandidate holds no pointers, so
-	// the retained arrays pin no packet memory).
-	cands := &r.saCands
-	for p := range cands {
-		cands[p] = cands[p][:0]
-	}
-	// Ascending bit order is ascending (port, vc) order, so the candidate
-	// lists and the Priority calls come out as a full scan would make them.
+	// cands[p] marks the VCs competing for output port p, and outs the ports
+	// with at least one candidate. Ascending bit order is ascending (port, vc)
+	// order, so the Priority calls come out as a full scan would make them.
+	var cands [NumPorts]uint64
+	var outs uint8
 	for m := r.saMask; m != 0; m &= m - 1 {
 		b := bits.TrailingZeros64(m)
-		port, vc := Port(b/maxVCsPerPort), b%maxVCsPerPort
-		st := &r.in[port].vcs[vc]
+		st := &r.vcs[b]
 		// The flit spends at least one cycle in stage 1 (RC/VA) before
 		// competing for the switch in stage 2.
-		if now < st.head().readyAt+1 {
+		if now < st.headReady()+1 {
 			continue
 		}
 		ol := r.out[st.outPort]
@@ -289,119 +284,118 @@ func (r *Router) switchAlloc(now uint64) {
 			// in the router (backpressure into the network).
 			continue
 		}
-		cands[st.outPort] = append(cands[st.outPort], saCandidate{
-			port: port,
-			vc:   vc,
-			prio: r.net.priority(r.id, st.pkt, now),
-		})
+		r.saPrio[b] = r.net.priority(r.id, st.pkt, now)
+		cands[st.outPort] |= 1 << uint(b)
+		outs |= 1 << uint(st.outPort)
 	}
-	for port := Port(0); port < NumPorts; port++ {
+	for ; outs != 0; outs &= outs - 1 {
+		port := bits.TrailingZeros8(outs)
 		ol := r.out[port]
-		if ol == nil || len(cands[port]) == 0 {
-			continue
-		}
-		list := cands[port]
-		for slot := 0; slot < ol.width && len(list) > 0; slot++ {
-			win := pickWinner(list, ol.rr, r.numVCs())
-			c := list[win]
-			ol.rr = int(c.port)*r.numVCs() + c.vc + 1
-			r.forward(c.port, c.vc, ol, now)
+		c := cands[port]
+		for slot := 0; slot < ol.width && c != 0; slot++ {
+			b := r.pickWinner(c, ol.rr)
+			ol.rr = b + 1
+			r.forward(b, ol, now)
 			// On wide TSBs a second flit of the same packet may be combined
 			// into this cycle (the XShare-style 2x128b transfer of Section
-			// 3.4); keep the VC in the list while it still has a ready flit.
-			st := &r.in[c.port].vcs[c.vc]
-			if r.saMask&vcBit(c.port, c.vc) != 0 &&
-				now >= st.head().readyAt+1 && ol.credits[st.outVC] > 0 {
-				list[win] = c
-			} else {
-				list = append(list[:win], list[win+1:]...)
+			// 3.4); keep the VC a candidate while it still has a ready flit.
+			st := &r.vcs[b]
+			if r.saMask&(1<<uint(b)) == 0 ||
+				now < st.headReady()+1 || ol.credits[st.outVC] <= 0 {
+				c &^= 1 << uint(b)
 			}
 		}
 	}
 }
 
-// pickWinner selects the candidate with the lowest priority value, breaking
-// ties round-robin starting from pointer rr (an index into the port*vc
-// space).
-func pickWinner(list []saCandidate, rr, numVCs int) int {
-	best := -1
-	bestPrio := 0
-	bestDist := 0
-	total := int(NumPorts) * numVCs
-	for i, c := range list {
-		idx := int(c.port)*numVCs + c.vc
-		dist := (idx - rr + total) % total
-		if best == -1 || c.prio < bestPrio || (c.prio == bestPrio && dist < bestDist) {
-			best, bestPrio, bestDist = i, c.prio, dist
+// pickWinner selects among the candidate bits c the VC with the lowest
+// priority, breaking ties round-robin: the first such bit at or after rr,
+// wrapping around. Bits of VC slots a port does not use are never set, so
+// this is the first candidate in the flat (port, vc) order from the VC after
+// the previous winner.
+func (r *Router) pickWinner(c uint64, rr int) int {
+	if c&(c-1) == 0 {
+		return bits.TrailingZeros64(c) // a lone candidate wins outright
+	}
+	best, bestPrio := uint64(0), 0
+	for s := c; s != 0; s &= s - 1 {
+		b := bits.TrailingZeros64(s)
+		switch p := r.saPrio[b]; {
+		case best == 0 || p < bestPrio:
+			best, bestPrio = 1<<uint(b), p
+		case p == bestPrio:
+			best |= 1 << uint(b)
 		}
 	}
-	return best
+	if after := best &^ (uint64(1)<<uint(rr) - 1); after != 0 {
+		return bits.TrailingZeros64(after)
+	}
+	return bits.TrailingZeros64(best)
 }
 
 // forward is the decide-phase half of a switch grant: it moves the head flit
-// of (port, vc) out of this router's input buffer, charges this router's own
-// output-link credit, and logs the grant for commitOps. Switch traversal is
-// this cycle, link traversal next, arrival the cycle after (HopLatency total
-// per hop including the stage-1 cycle).
+// of the input VC at mask bit b out of this router's input buffer, charges
+// this router's own output-link credit, and logs the grant for commitOps.
+// Switch traversal is this cycle, link traversal next, arrival the cycle
+// after (HopLatency total per hop including the stage-1 cycle).
 //
 // Everything mutated here belongs to the granting router — its input VC
 // state and its own outLink — so every router decides from the frozen
 // cycle-N state. The cross-router effects (upstream credit return,
 // downstream buffering, prioritizer charge, traversal stats) are deferred
 // into r.ops and applied by commitOps after every router has decided.
-func (r *Router) forward(port Port, vc int, ol *outLink, now uint64) {
-	ip := r.in[port]
-	st := &ip.vcs[vc]
-	f := st.pop()
+func (r *Router) forward(b int, ol *outLink, now uint64) {
+	st := &r.vcs[b]
+	pkt, seq, outVC := st.pkt, st.seq, st.outVC
+	st.seq++
+	st.n--
 	r.bufferedFlits--
-	outVC := st.outVC
 
 	ol.credits[outVC]--
 
-	if f.Tail {
+	tail := seq == pkt.SizeFlits-1
+	if tail {
 		// Tail releases this input VC immediately; the downstream VC
 		// ownership is released lazily once its buffer drains (see allocVC).
 		ol.tailSent[outVC] = true
 		st.pkt = nil
 		st.outVC = -1
 	}
-	if f.Tail || st.empty() {
-		r.saMask &^= vcBit(port, vc)
+	if tail || st.n == 0 {
+		r.saMask &^= 1 << uint(b)
 	}
-
-	f.readyAt = now + 2 // ST this cycle, link next; available downstream after
-	r.ops = append(r.ops, fwdOp{f: f, feeder: ip.feeder, ol: ol, fvc: int32(vc), outVC: int32(outVC)})
+	r.ops = append(r.ops, fwdOp{pkt: pkt, ol: ol, seq: int32(seq), in: uint8(b), outVC: uint8(outVC)})
 }
 
 // commitOps applies the cross-router half of this router's grants: credits
 // returned upstream, prioritizer busy-table charges, traversal statistics,
-// and the flit handoff into the downstream router (or the local NIC). The
-// network calls it for every ticked router in ascending node order, after
-// every router has decided, so no grant sees another's effects in the same
-// cycle.
+// and the flit handoff into the downstream router (or the local NIC), ready
+// there at now+2 (ST this cycle, link next). The network calls it for every
+// ticked router in ascending node order, after every router has decided, so
+// no grant sees another's effects in the same cycle.
 func (r *Router) commitOps(now uint64) {
 	n := r.net
 	for i := range r.ops {
 		op := &r.ops[i]
-		if op.feeder != nil {
-			op.feeder.credits[op.fvc]++
+		if f := r.feeder[op.in/maxVCsPerPort]; f != nil {
+			f.credits[op.in%maxVCsPerPort]++
 		}
-		if op.f.IsHead() {
-			op.f.Pkt.Hops++
+		if op.seq == 0 {
+			op.pkt.Hops++
 			if pr := n.prioritizer; pr != nil {
-				pr.OnForward(r.id, op.f.Pkt, now)
+				pr.OnForward(r.id, op.pkt, now)
 			}
 			if o := n.obs; o != nil {
-				o.HeaderGranted(r.id, op.ol.srcPort, op.f.Pkt, now)
+				o.HeaderGranted(r.id, op.ol.srcPort, op.pkt, now)
 			}
 		}
 		n.countTraversal(op.ol)
 		if op.ol.dst == nil {
-			n.nics[r.id].receive(op.f, now+2)
+			n.nics[r.id].receive(op.pkt, now+2)
 			// The NIC sinks ejected flits unconditionally; return the credit.
 			op.ol.credits[op.outVC]++
 		} else {
-			op.ol.dst.acceptFlit(op.ol.dstPort, int(op.outVC), op.f, now)
+			op.ol.dst.acceptFlit(op.ol.dstPort, int(op.outVC), op.pkt, int(op.seq), now+2, now)
 			n.markRouterActive(op.ol.dst.id)
 		}
 	}
@@ -421,18 +415,12 @@ func (r *Router) occupancy() (used, capacity int) {
 
 // ForEachBufferedPacket invokes fn once per packet currently occupying one of
 // the router's input VCs (the header may already be partially forwarded for
-// in-flight wormholes; such packets are still reported). Used by the
-// characterization experiments (Figure 3, Figure 13).
+// in-flight wormholes; such packets are still reported), in ascending (port,
+// vc) order. Used by the characterization experiments (Figure 3, Figure 13).
 func (r *Router) ForEachBufferedPacket(fn func(*Packet)) {
-	for port := Port(0); port < NumPorts; port++ {
-		ip := r.in[port]
-		if ip == nil {
-			continue
-		}
-		for vc := range ip.vcs {
-			if p := ip.vcs[vc].pkt; p != nil && !ip.vcs[vc].empty() {
-				fn(p)
-			}
+	for b := range r.vcs {
+		if st := &r.vcs[b]; st.pkt != nil && st.n > 0 {
+			fn(st.pkt)
 		}
 	}
 }

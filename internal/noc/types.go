@@ -223,18 +223,3 @@ func (p *Packet) NetworkLatency() uint64 {
 	}
 	return p.Ejected - p.Injected
 }
-
-// Flit is one flow-control unit of a packet.
-type Flit struct {
-	Pkt  *Packet
-	Seq  int // 0 is the header
-	Tail bool
-
-	// readyAt is the first cycle this flit may compete for switch allocation
-	// in the router currently buffering it; it models the pipeline stages and
-	// link traversal.
-	readyAt uint64
-}
-
-// IsHead reports whether this is the packet's header flit.
-func (f *Flit) IsHead() bool { return f.Seq == 0 }

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # bench_guard.sh — performance regression guard over the checked-in baseline
-# (BENCH_baseline.json at the repo root). Five benchmarks are gated:
+# (BENCH_baseline.json at the repo root). Six benchmarks are gated:
 #
 #   BenchmarkTracingDisabled   the observability disabled path: a full
 #                              simulator cycle with tracing compiled in but
@@ -8,6 +8,9 @@
 #   BenchmarkSteadyStateCycle  the zero-allocation contract: a warmed WB
 #                              simulator cycle must stay at 0 allocs/op
 #                              (DESIGN.md §13)
+#   BenchmarkNetworkTick       the router datapath alone: the 128-router
+#                              network with 64 packets in a closed loop,
+#                              no core or bank models, 0 allocs/op
 #   BenchmarkFullRun/wb        end-to-end sim.Run wall clock and total
 #                              allocation count for the heaviest scheme
 #   BenchmarkNew/cold          construction alone (internal/sim) with an
@@ -21,8 +24,9 @@
 #
 #  1. Allocation gate (always enforced, on every host): allocs/op and B/op
 #     are deterministic — per cycle for the steady-state benches, per whole
-#     run for FullRun — so any new allocation fails exactly, regardless of
-#     machine noise. This is the gate CI relies on.
+#     run for FullRun — so they may exceed the baseline by at most 2% (B/op
+#     also by BYTES_SLACK), regardless of machine noise. At a 0 allocs/op
+#     baseline one new allocation fails. This is the gate CI relies on.
 #  2. Wall-clock gate (enforced when measurable): min ns/op may not regress
 #     more than TOLERANCE_PCT over the baseline. Wall-clock is only
 #     trustworthy on a quiet machine, so the guard first measures its own
@@ -42,7 +46,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BASELINE=BENCH_baseline.json
-BENCHES=(BenchmarkTracingDisabled BenchmarkSteadyStateCycle BenchmarkFullRun/wb BenchmarkNew/cold BenchmarkNew/warm)
+BENCHES=(BenchmarkTracingDisabled BenchmarkSteadyStateCycle BenchmarkNetworkTick BenchmarkFullRun/wb BenchmarkNew/cold BenchmarkNew/warm)
 COUNT=6
 BENCHTIME=500ms
 # Wall-clock gate: loose enough to ignore scheduler jitter on a busy host
@@ -64,7 +68,7 @@ host_key="$(uname -sm | tr ' ' '-')-$(nproc)c"
 # BenchmarkNew lives in internal/sim, next to the memo it clears.
 run_bench() {
     {
-        go test -run '^$' -bench '^(BenchmarkTracingDisabled|BenchmarkSteadyStateCycle)$' \
+        go test -run '^$' -bench '^(BenchmarkTracingDisabled|BenchmarkSteadyStateCycle|BenchmarkNetworkTick)$' \
             -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
         go test -run '^$' -bench '^BenchmarkFullRun$/^wb$' \
             -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
