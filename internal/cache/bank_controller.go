@@ -3,6 +3,7 @@ package cache
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"sttsim/internal/mem"
 	"sttsim/internal/noc"
@@ -25,8 +26,24 @@ const (
 	tagUsed  uint64 = 1 << 63
 )
 
-// tagArray is a bank's tag words and the set geometry that indexes them: the
-// part of the tag store a preload writes, and so all a tag image holds.
+// setState is one set's tag words, directory presence vectors (see
+// sharerBit) and LRU stamps, side by side.
+type setState struct {
+	tags, sharers, lastUse [Associativity]uint64
+}
+
+// setStore is a bank's set records and the bitmap of those initialized this
+// run. Stores pass between banks through storePools, so a record not yet
+// initialized holds an earlier run's bytes.
+type setStore struct {
+	sets   []setState
+	inited []uint64
+}
+
+// tagArray is a bank's tag store and the set geometry that indexes it. A set
+// is initialized from image on the bank's first access to it in a run, and
+// nothing reads a record except through set or a way handle (the global way
+// index set*Associativity + way) that a call through set returned.
 //
 // Preload and allocate always fill the first way that holds no valid line,
 // so the used ways of every set form a prefix and a probe stops at the first
@@ -34,8 +51,14 @@ const (
 type tagArray struct {
 	am      *AddrMap
 	numSets int
-	tags    []uint64 // numSets*Associativity tag words, set by set
+	image   []uint64 // preloaded tag words, set by set, never written; nil is empty
+	*setStore
 }
+
+// storePools holds the free lists of set stores, one per set count, indexed
+// by its bit length: every tech's set count is a power of two, and a store of
+// another count is never taken.
+var storePools [bits.UintSize]sync.Pool
 
 // mshr tracks one outstanding miss and the requesters merged onto it.
 type mshr struct {
@@ -112,11 +135,9 @@ type BankController struct {
 	node noc.NodeID
 	bank *mem.Bank
 
-	// The tag store: tag words plus, per way in parallel arrays, the
-	// directory presence vector and the LRU stamp.
+	// The tag store: per set, the tag words, directory presence vectors and
+	// LRU stamps of its ways.
 	tagArray
-	sharers []uint64 // directory presence vector (see sharerBit)
-	lastUse []uint64 // LRU timestamp
 
 	// Presence-vector geometry: bit b of a sharers word covers the cores
 	// [b<<sharerShift, (b+1)<<sharerShift). sharerShift is 0 up to
@@ -194,28 +215,34 @@ func NewBankControllerMapped(node noc.NodeID, bank *mem.Bank, am *AddrMap) *Bank
 	return NewBankControllerTags(node, bank, am, nil)
 }
 
-// NewBankControllerTags builds the bank around tags, the tag words of a bank
-// of its capacity under am — typically a NewTagImage result or a clone of
-// one. The controller owns tags from here on and writes to them; nil starts
-// with an empty tag array.
-func NewBankControllerTags(node noc.NodeID, bank *mem.Bank, am *AddrMap, tags []uint64) *BankController {
+// NewBankControllerTags builds the bank on image, the preloaded tag words of
+// a bank of its capacity under am (a NewTagImage result, which the bank only
+// reads); nil starts with an empty tag array. Its set records are storage a
+// released bank left, when there is some.
+func NewBankControllerTags(node noc.NodeID, bank *mem.Bank, am *AddrMap, image []uint64) *BankController {
+	numSets := SetsFor(bank.Tech().CapacityMB)
+	st, _ := storePools[bits.Len(uint(numSets))].Get().(*setStore)
+	if st == nil || len(st.sets) != numSets {
+		st = &setStore{sets: make([]setState, numSets), inited: make([]uint64, (numSets+63)/64)}
+	}
+	return newBankController(node, bank, am, image, st)
+}
+
+// newBankController builds the bank on image and st, whatever st holds.
+func newBankController(node noc.NodeID, bank *mem.Bank, am *AddrMap, image []uint64, st *setStore) *BankController {
 	topo := am.Topology()
 	if topo.Layer(node) == 0 {
 		panic(fmt.Sprintf("cache: bank controller node %d is not in a cache layer", node))
 	}
-	numSets := SetsFor(bank.Tech().CapacityMB)
-	ways := numSets * Associativity
-	if tags == nil {
-		tags = make([]uint64, ways)
-	} else if len(tags) != ways {
-		panic(fmt.Sprintf("cache: bank %d given %d tag words, its capacity needs %d", node, len(tags), ways))
+	numSets := len(st.sets)
+	if image != nil && len(image) != numSets*Associativity {
+		panic(fmt.Sprintf("cache: bank %d given %d tag words, its capacity needs %d", node, len(image), numSets*Associativity))
 	}
+	clear(st.inited)
 	bc := &BankController{
 		node:        node,
 		bank:        bank,
-		tagArray:    tagArray{am: am, numSets: numSets, tags: tags},
-		sharers:     make([]uint64, ways),
-		lastUse:     make([]uint64, ways),
+		tagArray:    tagArray{am: am, numSets: numSets, image: image, setStore: st},
 		numCores:    topo.NumCores(),
 		mshrs:       make(map[uint64]*mshr),
 		fillSharers: make(map[uint64]uint64),
@@ -225,6 +252,16 @@ func NewBankControllerTags(node noc.NodeID, bank *mem.Bank, am *AddrMap, tags []
 		bc.sharerShift++
 	}
 	return bc
+}
+
+// Release hands the bank's set records to a later bank. The bank must not be
+// used afterwards: an access to its tags panics rather than share storage.
+// Releasing twice is safe.
+func (bc *BankController) Release() {
+	if bc.setStore != nil {
+		storePools[bits.Len(uint(bc.numSets))].Put(bc.setStore)
+		bc.setStore = nil
+	}
 }
 
 // presenceBits is the width of one way's directory presence vector.
@@ -311,46 +348,63 @@ func (bc *BankController) drainRetries(now uint64) {
 	bc.retryQ = kept
 }
 
-// setBase returns the index of the first way of the set holding a line
-// address; the set's ways are the Associativity words from there. The set
-// index is a hash of the line address above the bank-interleaving bits —
-// LLCs commonly hash their index to break power-of-two stride pathologies,
-// and our synthetic address-space bases are exactly such strides.
-func (ta *tagArray) setBase(lineAddr uint64) int {
+// setOf returns the set holding a line address. The set index is a hash of
+// the line address above the bank-interleaving bits — LLCs commonly hash
+// their index to break power-of-two stride pathologies, and our synthetic
+// address-space bases are exactly such strides.
+func (ta *tagArray) setOf(lineAddr uint64) int {
 	v := ta.am.BankInterleave(lineAddr)
 	v *= 0x9E3779B97F4A7C15
 	v ^= v >> 29
-	return int(v%uint64(ta.numSets)) * Associativity
+	return int(v % uint64(ta.numSets))
+}
+
+// set returns set s's record, initializing it on the bank's first access to
+// it this run: tag words from the image (zero without one), no sharers and
+// zero LRU stamps.
+func (ta *tagArray) set(s int) *setState {
+	st := &ta.sets[s]
+	if bit := uint64(1) << (s % 64); ta.inited[s/64]&bit == 0 {
+		ta.inited[s/64] |= bit
+		*st = setState{}
+		if ta.image != nil {
+			st.tags = [Associativity]uint64(ta.image[s*Associativity : (s+1)*Associativity])
+		}
+	}
+	return st
+}
+
+// way resolves a way handle into its set's record and the way's index there.
+func (ta *tagArray) way(w int) (*setState, int) {
+	return &ta.sets[w/Associativity], w % Associativity
 }
 
 // lookup returns the way holding lineAddr as a valid line, or -1. It stops
 // at the set's first never-used way: no way past it has held a line.
 func (ta *tagArray) lookup(lineAddr uint64) int {
-	base := ta.setBase(lineAddr)
+	s := ta.setOf(lineAddr)
 	want := lineAddr | tagUsed | tagValid
-	for w := base; w < base+Associativity; w++ {
-		t := ta.tags[w]
+	for i, t := range &ta.set(s).tags {
 		if t == 0 {
 			break
 		}
 		if t&^tagDirty == want {
-			return w
+			return s*Associativity + i
 		}
 	}
 	return -1
 }
 
-// preload installs a line as valid and clean unless it is already resident,
-// and returns the way it wrote (-1 when resident). The line takes the set's
-// first way without a valid line; a full set gives up its first way.
-func (ta *tagArray) preload(lineAddr uint64) int {
-	base := ta.setBase(lineAddr)
+// preloadSet installs a line in a set's tag words as valid and clean unless
+// it is already resident, and returns the way it wrote (-1 when resident).
+// The line takes the set's first way without a valid line; a full set gives
+// up its first way.
+func preloadSet(tags *[Associativity]uint64, lineAddr uint64) int {
 	free := -1
-	for w := base; w < base+Associativity; w++ {
-		t := ta.tags[w]
+	for i, t := range tags {
 		if t&tagValid == 0 {
 			if free < 0 {
-				free = w
+				free = i
 			}
 			if t == 0 {
 				break
@@ -360,9 +414,9 @@ func (ta *tagArray) preload(lineAddr uint64) int {
 		}
 	}
 	if free < 0 {
-		free = base // set full during preload: replace way 0 (deterministic)
+		free = 0 // set full during preload: replace way 0 (deterministic)
 	}
-	ta.tags[free] = lineAddr | tagUsed | tagValid
+	tags[free] = lineAddr | tagUsed | tagValid
 	return free
 }
 
@@ -461,8 +515,9 @@ func (bc *BankController) finishRead(m reqMeta, c *mem.Completion, now uint64) {
 	la := LineAddr(m.addr)
 	if w := bc.lookup(la); w >= 0 {
 		bc.stats.ReadHits++
-		bc.lastUse[w] = now
-		bc.sharers[w] |= bc.sharerBit(m.core)
+		st, i := bc.way(w)
+		st.lastUse[i] = now
+		st.sharers[i] |= bc.sharerBit(m.core)
 		bc.send(bc.pkt(noc.Packet{
 			Kind: noc.KindReadResp, Src: bc.node, Dst: m.src,
 			Addr: m.addr, Proc: m.core,
@@ -524,8 +579,9 @@ func (bc *BankController) finishWrite(m reqMeta, c *mem.Completion, now uint64) 
 		bc.tracer.Fault(obs.FaultWriteDropped, bc.node, m.pktID, uint64(m.retries), 0, now)
 		if w := bc.lookup(la); w >= 0 {
 			bc.invalidateSharers(w, -1)
-			bc.tags[w] &^= tagValid
-			bc.sharers[w] = 0
+			st, i := bc.way(w)
+			st.tags[i] &^= tagValid
+			st.sharers[i] = 0
 			bc.stats.LinesInvalidated++
 		}
 		bc.send(bc.pkt(noc.Packet{
@@ -545,12 +601,13 @@ func (bc *BankController) finishWrite(m reqMeta, c *mem.Completion, now uint64) 
 		bc.stats.WriteMisses++
 		w = bc.allocate(la, now)
 	}
-	bc.tags[w] |= tagDirty
-	bc.lastUse[w] = now
+	st, i := bc.way(w)
+	st.tags[i] |= tagDirty
+	st.lastUse[i] = now
 	// Directory action: invalidate all other sharers. The writer's L1 gave
 	// the line up by writing it back.
 	bc.invalidateSharers(w, m.core)
-	bc.sharers[w] = 0
+	st.sharers[i] = 0
 	bc.send(bc.pkt(noc.Packet{
 		Kind: noc.KindWriteAck, Src: bc.node, Dst: m.src,
 		Addr: m.addr, Proc: m.core,
@@ -622,9 +679,10 @@ func (bc *BankController) finishFill(m reqMeta, c *mem.Completion, now uint64) {
 	if w < 0 {
 		w = bc.allocate(la, now)
 	}
-	bc.tags[w] &^= tagDirty
-	bc.lastUse[w] = now
-	bc.sharers[w] |= bc.fillSharers[la]
+	st, i := bc.way(w)
+	st.tags[i] &^= tagDirty
+	st.lastUse[i] = now
+	st.sharers[i] |= bc.fillSharers[la]
 	delete(bc.fillSharers, la)
 }
 
@@ -632,18 +690,20 @@ func (bc *BankController) finishFill(m reqMeta, c *mem.Completion, now uint64) {
 // valid line, else the least recently used — installs the new tag there and
 // returns the way.
 func (bc *BankController) allocate(lineAddr uint64, now uint64) int {
-	base := bc.setBase(lineAddr)
-	victim := base
-	for w := base; w < base+Associativity; w++ {
-		if bc.tags[w]&tagValid == 0 {
-			victim = w
+	s := bc.setOf(lineAddr)
+	st := bc.set(s)
+	v := 0
+	for i, t := range &st.tags {
+		if t&tagValid == 0 {
+			v = i
 			break
 		}
-		if bc.lastUse[w] < bc.lastUse[victim] {
-			victim = w
+		if st.lastUse[i] < st.lastUse[v] {
+			v = i
 		}
 	}
-	if t := bc.tags[victim]; t&tagValid != 0 {
+	victim := s*Associativity + v
+	if t := st.tags[v]; t&tagValid != 0 {
 		bc.stats.Evictions++
 		// Recall the line from any L1s still holding it.
 		bc.invalidateSharers(victim, -1)
@@ -656,9 +716,9 @@ func (bc *BankController) allocate(lineAddr uint64, now uint64) int {
 			}))
 		}
 	}
-	bc.tags[victim] = lineAddr | tagUsed | tagValid
-	bc.sharers[victim] = 0
-	bc.lastUse[victim] = now
+	st.tags[v] = lineAddr | tagUsed | tagValid
+	st.sharers[v] = 0
+	st.lastUse[v] = now
 	return victim
 }
 
@@ -667,11 +727,12 @@ func (bc *BankController) allocate(lineAddr uint64, now uint64) int {
 // invalidates everyone). Under a coarse vector that includes cores holding
 // no copy; they just ack.
 func (bc *BankController) invalidateSharers(w int, except int) {
-	sharers := bc.sharers[w]
+	st, i := bc.way(w)
+	sharers := st.sharers[i]
 	if sharers == 0 {
 		return
 	}
-	addr := AddrOfLine(bc.tags[w] & tagAddr)
+	addr := AddrOfLine(st.tags[i] & tagAddr)
 	for ; sharers != 0; sharers &= sharers - 1 {
 		lo := bits.TrailingZeros64(sharers) << bc.sharerShift
 		hi := min(lo+1<<bc.sharerShift, bc.numCores)
@@ -717,9 +778,10 @@ func (bc *BankController) ResetStats() {
 // tag warmup standing in for the billions of instructions the paper's traces
 // execute before measurement.
 func (bc *BankController) Preload(lineAddr uint64) {
-	if w := bc.preload(lineAddr); w >= 0 {
-		bc.sharers[w] = 0
-		bc.lastUse[w] = 0
+	st := bc.set(bc.setOf(lineAddr))
+	if i := preloadSet(&st.tags, lineAddr); i >= 0 {
+		st.sharers[i] = 0
+		st.lastUse[i] = 0
 	}
 }
 
@@ -732,15 +794,15 @@ func (bc *BankController) PreloadBatch(lineAddrs []uint64) {
 }
 
 // NewTagImage returns the tag words of an empty bank of the given capacity
-// under am after preloading lineAddrs in order: the tag array PreloadBatch
-// would leave. Preloaded lines have no sharers and a zero LRU stamp, so the
-// words are the bank's whole preloaded state, and NewBankControllerTags on a
-// clone of them rebuilds it.
+// under am after preloading lineAddrs in order, set by set: the tag store
+// PreloadBatch would leave. Preloaded lines have no sharers and a zero LRU
+// stamp, so the words are the bank's whole preloaded state, and
+// NewBankControllerTags on them rebuilds it.
 func NewTagImage(am *AddrMap, capacityMB int, lineAddrs []uint64) []uint64 {
-	numSets := SetsFor(capacityMB)
-	ta := tagArray{am: am, numSets: numSets, tags: make([]uint64, numSets*Associativity)}
+	ta := tagArray{am: am, numSets: SetsFor(capacityMB)}
+	img := make([]uint64, ta.numSets*Associativity)
 	for _, la := range lineAddrs {
-		ta.preload(la)
+		preloadSet((*[Associativity]uint64)(img[ta.setOf(la)*Associativity:]), la)
 	}
-	return ta.tags
+	return img
 }

@@ -118,6 +118,8 @@ func RunContext(ctx context.Context, cfg Config) (res *Result, err error) {
 	if serr != nil {
 		return nil, serr
 	}
+	// Runs last, once the result or failure below is built.
+	defer s.Close()
 	cfg = s.cfg // defaults applied
 	// Router-protocol violations deep in the NoC still panic (they indicate
 	// simulator bugs, not modeled faults); convert them into the same

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"runtime"
-	"runtime/metrics"
 	"testing"
 
 	"sttsim/internal/core"
@@ -371,29 +370,36 @@ func TestCloseIdempotent(t *testing.T) {
 	s.Close()
 }
 
-// TestCloseKeepsSimulatorLive: a live-heap measurement reads the heap after
-// a GC and only then calls Close. Close must keep the simulator reachable up
-// to that call; otherwise the collector frees it first and the reading sees
-// almost nothing.
-func TestCloseKeepsSimulatorLive(t *testing.T) {
-	live := func() int64 {
-		runtime.GC()
-		sample := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
-		metrics.Read(sample)
-		return int64(sample[0].Value.Uint64())
-	}
-	before := live()
-	s, err := New(Config{
+// TestCloseRecyclesSetStorage: a simulator built after another one closed
+// takes the closed one's set storage instead of allocating its own.
+func TestCloseRecyclesSetStorage(t *testing.T) {
+	cfg := Config{
 		Scheme:     SchemeSTT4TSBWB,
 		Assignment: workload.Homogeneous(workload.MustByName("tpcc")),
-	})
-	if err != nil {
+	}
+	if _, err := New(cfg); err != nil { // store the tag images, not closed
 		t.Fatal(err)
 	}
-	held := live() - before
-	s.Close()
-	if held < 32<<20 {
-		t.Fatalf("live heap grew by %.2f MB while a WB simulator was held until Close, want > 32 MB",
-			float64(held)/(1<<20))
+	// Two collections empty the free lists: the first moves their contents
+	// to the victim cache, the second drops them.
+	runtime.GC()
+	runtime.GC()
+	allocated := func() uint64 {
+		t.Helper()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		before := ms.TotalAlloc
+		s, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		s.Close()
+		return ms.TotalAlloc - before
+	}
+	first := allocated()
+	if second := allocated(); second >= first/2 {
+		t.Fatalf("a New after a Close allocated %.2f MB, the one before it %.2f MB; want under half",
+			float64(second)/(1<<20), float64(first)/(1<<20))
 	}
 }

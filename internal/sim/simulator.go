@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 
 	"sttsim/internal/cache"
 	"sttsim/internal/core"
@@ -274,13 +273,14 @@ func New(cfg Config) (*Simulator, error) {
 	// The L2 tags start prewarmed with every generator's hot footprint, so
 	// hit rates match the Table 3 characterization from the first measured
 	// cycle. The preloaded tag words come from the process's image memo;
-	// only a miss gathers the footprint and installs it.
+	// only a miss gathers the footprint and installs it. Each bank reads its
+	// image and never writes it.
 	keys := make([]imageKey, numBanks)
 	for i := range keys {
 		keys[i] = imageKey{topo, cfg.Assignment.Mode, techOf(i).CapacityMB, i}
 	}
 	var lines [][]uint64 // gathered on the first image miss only
-	images, shared := tagImages.get(keys, func(i int) []uint64 {
+	images := tagImages.get(keys, func(i int) []uint64 {
 		if lines == nil {
 			lines = prewarmLines(am, gens)
 		}
@@ -292,12 +292,7 @@ func New(cfg Config) (*Simulator, error) {
 	s.banks = make([]*cache.BankController, numBanks)
 	for i := 0; i < numBanks; i++ {
 		node := topo.BankNode(i)
-		bankTech, tags := techOf(i), images[i]
-		if shared[i] {
-			// Clone the memo's image; appending onto nil copies it without
-			// zeroing the new array first, as make plus copy would.
-			tags = append([]uint64(nil), tags...)
-		}
+		bankTech := techOf(i)
 		var bank *mem.Bank
 		if cfg.WriteBufferEntries > 0 {
 			bank = mem.NewBufferedBank(bankTech, cfg.WriteBufferEntries, cfg.ReadPreemption)
@@ -307,7 +302,7 @@ func New(cfg Config) (*Simulator, error) {
 		if cfg.EarlyWriteTermination {
 			bank.EnableEarlyTermination(cfg.Seed ^ uint64(i)*0x9E3779B97F4A7C15)
 		}
-		s.banks[i] = cache.NewBankControllerTags(node, bank, am, tags)
+		s.banks[i] = cache.NewBankControllerTags(node, bank, am, images[i])
 		s.banks[i].UsePool(s.pool)
 		s.banks[i].SetGapHistogram(s.gapHist)
 		if s.tracer != nil {
@@ -341,12 +336,14 @@ func New(cfg Config) (*Simulator, error) {
 	return s, nil
 }
 
-// Close marks the end of the simulator's use; it holds no resources, and
-// calling it is optional and idempotent. What it does do is keep s reachable
-// up to the call: a caller measuring a simulator's live heap (GC, read the
-// heap size, then Close) relies on this, because without a use after the
-// reading the collector may free the whole simulator before the reading.
-func (s *Simulator) Close() { runtime.KeepAlive(s) }
+// Close ends the simulator's use and hands its banks' set storage to later
+// simulators. Calling it is optional (without it the collector frees the
+// storage) and idempotent; a closed simulator must not be stepped.
+func (s *Simulator) Close() {
+	for _, bc := range s.banks {
+		bc.Release()
+	}
+}
 
 // prioritizerShim lets the RCA arbiter be installed after network
 // construction.

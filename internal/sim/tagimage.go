@@ -28,8 +28,8 @@ type imageKey struct {
 // of every registered tech profile (1, 2, 4 and 16 MB banks) take 184 MiB.
 const tagImageBudget = 256 << 20
 
-// tagImages is the process-wide image memo. Stored images are immutable:
-// simulators clone them, so concurrent runs share them safely.
+// tagImages is the process-wide image memo. Banks only read their images,
+// so concurrent runs share them safely.
 var tagImages = imageMemo{budget: tagImageBudget}
 
 // imageMemo is a mutex-guarded, byte-budgeted memo of tag images with
@@ -49,26 +49,23 @@ type imageEntry struct {
 
 // get returns the image of every key. It builds the images the memo lacks
 // with build(i), outside the lock, and stores them if together they fit the
-// budget, evicting the least recently used images to make room. shared[i]
-// reports whether imgs[i] is, or was, the memo's: the caller must not write
-// to those, and owns the others.
-func (m *imageMemo) get(keys []imageKey, build func(i int) []uint64) (imgs [][]uint64, shared []bool) {
-	imgs = make([][]uint64, len(keys))
-	shared = make([]bool, len(keys))
+// budget, evicting the least recently used images to make room.
+func (m *imageMemo) get(keys []imageKey, build func(i int) []uint64) [][]uint64 {
+	imgs := make([][]uint64, len(keys))
 	var missing []int
 	m.mu.Lock()
 	for i, k := range keys {
 		if e := m.entries[k]; e != nil {
 			m.clock++
 			e.lastUsed = m.clock
-			imgs[i], shared[i] = e.words, true
+			imgs[i] = e.words
 		} else {
 			missing = append(missing, i)
 		}
 	}
 	m.mu.Unlock()
 	if len(missing) == 0 {
-		return imgs, shared
+		return imgs
 	}
 	size := 0
 	for _, i := range missing {
@@ -79,7 +76,7 @@ func (m *imageMemo) get(keys []imageKey, build func(i int) []uint64) (imgs [][]u
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if size > m.budget {
-		return imgs, shared
+		return imgs
 	}
 	if m.entries == nil {
 		m.entries = make(map[imageKey]*imageEntry)
@@ -94,9 +91,8 @@ func (m *imageMemo) get(keys []imageKey, build func(i int) []uint64) (imgs [][]u
 		m.clock++
 		m.entries[keys[i]] = &imageEntry{words: imgs[i], lastUsed: m.clock}
 		m.bytes += 8 * len(imgs[i])
-		shared[i] = true
 	}
-	return imgs, shared
+	return imgs
 }
 
 // evictLRU drops the least recently used image; m.mu must be held.

@@ -175,26 +175,23 @@ func TestTagImageConcurrentColdBuilds(t *testing.T) {
 func TestTagImageBudget(t *testing.T) {
 	m := imageMemo{budget: 8 * 100}
 	// get asks for banks of the given sizes in words; size 0 must be a hit.
-	get := func(sizes map[int]int) (shared map[int]bool) {
+	get := func(sizes map[int]int) {
 		t.Helper()
 		var keys []imageKey
 		for b := range sizes {
 			keys = append(keys, imageKey{bank: b})
 		}
-		imgs, sh := m.get(keys, func(i int) []uint64 {
+		imgs := m.get(keys, func(i int) []uint64 {
 			if sizes[keys[i].bank] == 0 {
 				t.Fatalf("bank %d rebuilt", keys[i].bank)
 			}
 			return make([]uint64, sizes[keys[i].bank])
 		})
-		shared = map[int]bool{}
 		for i, k := range keys {
 			if n := sizes[k.bank]; n > 0 && len(imgs[i]) != n {
 				t.Fatalf("bank %d: image of %d words, built %d", k.bank, len(imgs[i]), n)
 			}
-			shared[k.bank] = sh[i]
 		}
-		return shared
 	}
 	holds := func(want ...int) {
 		t.Helper()
@@ -214,17 +211,11 @@ func TestTagImageBudget(t *testing.T) {
 	holds(1, 2)
 	get(map[int]int{3: 40})
 	holds(1, 3)
-	if sh := get(map[int]int{4: 60, 5: 60}); sh[4] || sh[5] {
-		t.Fatal("images larger together than the budget were stored")
-	}
+	get(map[int]int{4: 60, 5: 60}) // larger together than the budget
 	holds(1, 3)
 	get(map[int]int{5: 100})
 	holds(5)
-	// Storing bank 6 evicts bank 5, which the same call returned as the
-	// memo's: it stays marked shared, so the caller still clones it.
-	if sh := get(map[int]int{5: 0, 6: 10}); !sh[5] || !sh[6] {
-		t.Fatalf("shared = %v, want both", sh)
-	}
+	get(map[int]int{5: 0, 6: 10}) // storing bank 6 evicts the hit bank 5
 	holds(6)
 
 	cfg := tinyCfg(SchemeSTT4TSBWB, "tpcc")

@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # bench_guard.sh — performance regression guard over the checked-in baseline
-# (BENCH_baseline.json at the repo root). Six benchmarks are gated:
+# (BENCH_baseline.json at the repo root). Seven benchmarks are gated:
 #
 #   BenchmarkTracingDisabled   the observability disabled path: a full
 #                              simulator cycle with tracing compiled in but
@@ -11,6 +11,9 @@
 #   BenchmarkNetworkTick       the router datapath alone: the 128-router
 #                              network with 64 packets in a closed loop,
 #                              no core or bank models, 0 allocs/op
+#   BenchmarkBankController    one L2 bank controller alone, on a tag image:
+#                              a closed loop of reads and writebacks that
+#                              evicts and recalls, 0 allocs/op
 #   BenchmarkFullRun/wb        end-to-end sim.Run wall clock and total
 #                              allocation count for the heaviest scheme
 #   BenchmarkNew/cold          construction alone (internal/sim) with an
@@ -46,7 +49,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 BASELINE=BENCH_baseline.json
-BENCHES=(BenchmarkTracingDisabled BenchmarkSteadyStateCycle BenchmarkNetworkTick BenchmarkFullRun/wb BenchmarkNew/cold BenchmarkNew/warm)
+BENCHES=(BenchmarkTracingDisabled BenchmarkSteadyStateCycle BenchmarkNetworkTick BenchmarkBankController BenchmarkFullRun/wb BenchmarkNew/cold BenchmarkNew/warm)
 COUNT=6
 BENCHTIME=500ms
 # Wall-clock gate: loose enough to ignore scheduler jitter on a busy host
@@ -68,7 +71,7 @@ host_key="$(uname -sm | tr ' ' '-')-$(nproc)c"
 # BenchmarkNew lives in internal/sim, next to the memo it clears.
 run_bench() {
     {
-        go test -run '^$' -bench '^(BenchmarkTracingDisabled|BenchmarkSteadyStateCycle|BenchmarkNetworkTick)$' \
+        go test -run '^$' -bench '^(BenchmarkTracingDisabled|BenchmarkSteadyStateCycle|BenchmarkNetworkTick|BenchmarkBankController)$' \
             -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
         go test -run '^$' -bench '^BenchmarkFullRun$/^wb$' \
             -benchmem -benchtime "$BENCHTIME" -count "$COUNT" .
